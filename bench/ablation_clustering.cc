@@ -9,7 +9,10 @@
 //                    on any selector's error),
 //   build time     — clustering wall-clock.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 #include "bench_util.h"
@@ -21,7 +24,6 @@
 #include "common/logging.h"
 #include "common/stats.h"
 #include "common/stopwatch.h"
-#include "geo/kdtree.h"
 
 namespace {
 
@@ -29,13 +31,14 @@ using namespace dlinf;
 
 void Report(const char* name, const std::vector<Point>& pool,
             double build_seconds, const sim::World& world) {
-  KdTree tree(pool);
   std::vector<double> oracle;
   for (const sim::Address& addr : world.addresses) {
     if (addr.split != sim::Split::kTest) continue;
-    double d = 0.0;
-    tree.Nearest(addr.true_delivery_location, &d);
-    oracle.push_back(d);
+    double d2 = std::numeric_limits<double>::infinity();
+    for (const Point& p : pool) {
+      d2 = std::min(d2, SquaredDistance(p, addr.true_delivery_location));
+    }
+    oracle.push_back(std::sqrt(d2));
   }
   std::printf("%-22s %10zu %12.1f %12.1f %10.2f\n", name, pool.size(),
               Mean(oracle), Percentile(oracle, 0.95), build_seconds);

@@ -1,11 +1,12 @@
 #include "apps/query_engine.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
 
-#include "apps/telemetry_server.h"
 #include "fault/fault.h"
 #include "obs/profiler.h"
 #include "obs/trace_log.h"
@@ -196,17 +197,29 @@ std::unique_ptr<QueryEngine> QueryEngine::Create(const Options& options,
     shard->shed = registry.GetCounter("service.shard.shed" + label);
     engine->shards_.push_back(std::move(shard));
   }
-  engine->address_count_.store(
-      static_cast<int64_t>(engine->shards_[0]
-                               ->manager->state()
-                               ->bundle.world->addresses.size()),
-      std::memory_order_release);
+  engine->RefreshAddressCount();
+  QueryEngine* raw = engine.get();
+  engine->admin_ = AdminRoutes([raw] {
+    // The top-level generation is the oldest one any shard serves.
+    HealthStatus health;
+    health.generation = UINT64_MAX;
+    for (const auto& shard : raw->shards_) {
+      const HealthStatus::Shard entry{shard->manager->generation(),
+                                      shard->manager->reload_degraded()};
+      health.shards.push_back(entry);
+      health.ok = health.ok && !entry.degraded;
+      health.generation = std::min(health.generation, entry.generation);
+    }
+    if (!health.ok) {
+      health.detail = "shard(s) rolled back, serving previous generation";
+    }
+    return health;
+  });
 
   HttpServer::Options server_options;
   server_options.port = options.port;
   server_options.idle_timeout_s = options.idle_timeout_s;
   server_options.thread_name = "qe.loop";
-  QueryEngine* raw = engine.get();
   if (!engine->server_.Start(
           server_options,
           [raw](const HttpRequest& request,
@@ -228,9 +241,6 @@ QueryEngine::~QueryEngine() { Stop(); }
 
 void QueryEngine::Stop() {
   if (stopped_.exchange(true, std::memory_order_acq_rel)) return;
-  // An in-flight /profilez capture answers through this engine's event
-  // loop; reel it in while the loop is still alive.
-  obs::prof::CaptureManager::Global().CancelAndJoin();
   // Drain the workers first: they finish every queued job (each completion
   // posts through the still-open event loop), then the loop itself stops.
   // The reverse order would let a worker complete into a closed eventfd.
@@ -244,33 +254,23 @@ void QueryEngine::Stop() {
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
-  server_.Stop();
+  AdminRoutes::StopServer(&server_);
 }
 
 QueryEngine::ReloadSummary QueryEngine::PollShards(std::string* error) {
-  ReloadSummary summary;
-  for (auto& shard : shards_) {
-    switch (shard->manager->Poll(error)) {
-      case BundleManager::ReloadOutcome::kSwapped: ++summary.swapped; break;
-      case BundleManager::ReloadOutcome::kRolledBack:
-        ++summary.rolled_back;
-        break;
-      case BundleManager::ReloadOutcome::kUnchanged:
-        ++summary.unchanged;
-        break;
-    }
-  }
-  address_count_.store(
-      static_cast<int64_t>(
-          shards_[0]->manager->state()->bundle.world->addresses.size()),
-      std::memory_order_release);
-  return summary;
+  return ReloadEachShard(&BundleManager::Poll, error);
 }
 
 QueryEngine::ReloadSummary QueryEngine::ReloadShardsNow(std::string* error) {
+  return ReloadEachShard(&BundleManager::ReloadNow, error);
+}
+
+QueryEngine::ReloadSummary QueryEngine::ReloadEachShard(
+    BundleManager::ReloadOutcome (BundleManager::*step)(std::string*),
+    std::string* error) {
   ReloadSummary summary;
   for (auto& shard : shards_) {
-    switch (shard->manager->ReloadNow(error)) {
+    switch ((shard->manager.get()->*step)(error)) {
       case BundleManager::ReloadOutcome::kSwapped: ++summary.swapped; break;
       case BundleManager::ReloadOutcome::kRolledBack:
         ++summary.rolled_back;
@@ -280,11 +280,15 @@ QueryEngine::ReloadSummary QueryEngine::ReloadShardsNow(std::string* error) {
         break;
     }
   }
+  RefreshAddressCount();
+  return summary;
+}
+
+void QueryEngine::RefreshAddressCount() {
   address_count_.store(
       static_cast<int64_t>(
           shards_[0]->manager->state()->bundle.world->addresses.size()),
       std::memory_order_release);
-  return summary;
 }
 
 bool QueryEngine::AnyShardDegraded() const {
@@ -292,27 +296,6 @@ bool QueryEngine::AnyShardDegraded() const {
     if (shard->manager->reload_degraded()) return true;
   }
   return false;
-}
-
-std::string QueryEngine::HealthzJson() const {
-  const bool degraded = AnyShardDegraded();
-  std::string body = "{\"ok\":";
-  body += degraded ? "false" : "true";
-  body += ",\"shards\":[";
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const BundleManager* manager = shards_[i]->manager.get();
-    if (i > 0) body += ',';
-    body += "{\"shard\":" + std::to_string(i);
-    body += ",\"generation\":" + std::to_string(manager->generation());
-    body += ",\"degraded\":";
-    body += manager->reload_degraded() ? "true" : "false";
-    body += "}";
-  }
-  body += "],\"detail\":\"";
-  body += degraded ? "shard(s) rolled back, serving previous generation"
-                   : "serving";
-  body += "\"}";
-  return body;
 }
 
 DeliveryLocationService::Answer QueryEngine::ShedAnswer(
@@ -508,18 +491,6 @@ void QueryEngine::Handle(const HttpRequest& request,
     HandleQuery(request, std::move(handle));
   } else if (request.path == "/query_batch") {
     HandleQueryBatch(request, std::move(handle));
-  } else if (request.path == "/metrics") {
-    handle.Respond(200, "text/plain; version=0.0.4",
-                   obs::MetricsRegistry::Global().SnapshotPrometheus());
-  } else if (request.path == "/healthz") {
-    const std::string body = HealthzJson();
-    handle.Respond(AnyShardDegraded() ? 503 : 200, "application/json",
-                   body);
-  } else if (request.path == "/varz") {
-    handle.Respond(200, "text/plain",
-                   obs::MetricsRegistry::Global().SnapshotText());
-  } else if (request.path == "/profilez") {
-    HandleProfilezRequest(request, std::move(handle));
   } else if (request.path == "/inventory") {
     handle.Respond(
         200, "application/json",
@@ -527,7 +498,7 @@ void QueryEngine::Handle(const HttpRequest& request,
             std::to_string(
                 address_count_.load(std::memory_order_acquire)) +
             ",\"shards\":" + std::to_string(num_shards()) + "}");
-  } else {
+  } else if (!admin_.Handle(request, handle)) {
     handle.Respond(404, "text/plain", "not found\n");
   }
 }

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "apps/admin_routes.h"
 #include "apps/bundle_manager.h"
 #include "apps/http_conn.h"
 #include "apps/location_service.h"
@@ -42,9 +43,12 @@
 /// Every query is always answered; shedding only changes which tier answers
 /// and is visible in `"shed": true` and the `service.shard.shed` counters.
 ///
-/// Telemetry endpoints (/metrics, /healthz, /varz) are served from the same
-/// event loop, so a stalled or slow client can never delay a health scrape
-/// (the slow-loris fix; see tests/query_engine_test.cc).
+/// `/inventory` reports the address count and shard count. Every other path
+/// goes to the shared admin routes (admin_routes.h: /metrics, /healthz,
+/// /varz, /tracez, /profilez) on the same event loop, so a stalled or slow
+/// client can never delay a health scrape (the slow-loris fix; see
+/// tests/query_engine_test.cc). /healthz lists every shard's generation and
+/// is 503 while any shard runs on a rolled-back generation.
 
 namespace dlinf {
 namespace apps {
@@ -152,11 +156,18 @@ class QueryEngine {
   /// True when the request was shed (handled inline); false when enqueued.
   bool AdmitOrShed(int shard_index, Job job);
 
-  std::string HealthzJson() const;
+  /// Runs `step` (Poll or ReloadNow) on every shard's manager.
+  ReloadSummary ReloadEachShard(
+      BundleManager::ReloadOutcome (BundleManager::*step)(std::string*),
+      std::string* error);
+
+  /// Re-reads the admission bound from shard 0's live bundle.
+  void RefreshAddressCount();
 
   Options options_;
   ShardRouter router_{1};
   std::vector<std::unique_ptr<Shard>> shards_;
+  AdminRoutes admin_;
   HttpServer server_;
   std::atomic<int64_t> address_count_{0};  ///< Bounds check on admission.
   std::atomic<bool> stopped_{false};

@@ -2,64 +2,10 @@
 
 #include <utility>
 
-#include <cstdlib>
-
-#include "apps/bundle_manager.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/trace_log.h"
 
 namespace dlinf {
 namespace apps {
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.push_back('?');
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-void HandleProfilezRequest(const HttpRequest& request,
-                           HttpServer::ResponseHandle handle) {
-  double seconds = 2.0;
-  int hz = 99;
-  bool chrome = false;
-  std::string value;
-  if (request.QueryParam("seconds", &value) && !value.empty()) {
-    seconds = std::strtod(value.c_str(), nullptr);
-  }
-  if (request.QueryParam("hz", &value) && !value.empty()) {
-    hz = static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
-  }
-  if (request.QueryParam("format", &value)) chrome = value == "chrome";
-  // The capture runs on its own thread and answers through the handle when
-  // it finishes — the event loop keeps serving /metrics etc. meanwhile.
-  const bool started = obs::prof::CaptureManager::Global().Begin(
-      seconds, hz, chrome,
-      [handle](int status, const std::string& content_type,
-               const std::string& body) {
-        handle.Respond(status, content_type, body);
-      });
-  if (!started) {
-    handle.Respond(409, "text/plain",
-                   "a profile capture is already running\n");
-  }
-}
 
 TelemetryServer::~TelemetryServer() { Stop(); }
 
@@ -68,7 +14,7 @@ bool TelemetryServer::Start(const Options& options, std::string* error) {
     if (error != nullptr) *error = "telemetry server already running";
     return false;
   }
-  options_ = options;
+  admin_ = AdminRoutes(options.health);
 
   HttpServer::Options server_options;
   server_options.port = options.port;
@@ -76,65 +22,17 @@ bool TelemetryServer::Start(const Options& options, std::string* error) {
   server_options.thread_name = "telemetry.loop";
   obs::Counter* requests =
       obs::MetricsRegistry::Global().GetCounter("telemetry.http.requests");
-  // The handler runs on the loop thread; every endpoint is a fast snapshot
-  // call, so it answers inline.
   auto handler = [this, requests](const HttpRequest& request,
                                   HttpServer::ResponseHandle handle) {
     requests->Add(1);
-    if (request.path == "/metrics") {
-      handle.Respond(200, "text/plain; version=0.0.4",
-                     obs::MetricsRegistry::Global().SnapshotPrometheus());
-    } else if (request.path == "/healthz") {
-      HealthStatus health;
-      if (options_.health) health = options_.health();
-      std::string body = "{\"status\":\"";
-      body += health.ok ? "ok" : "degraded";
-      body += "\",\"generation\":" + std::to_string(health.generation);
-      if (!health.detail.empty()) {
-        body += ",\"detail\":\"" + JsonEscape(health.detail) + "\"";
-      }
-      body += "}\n";
-      handle.Respond(health.ok ? 200 : 503, "application/json", body);
-    } else if (request.path == "/varz") {
-      handle.Respond(200, "application/json",
-                     obs::MetricsRegistry::Global().SnapshotJson());
-    } else if (request.path == "/tracez") {
-      handle.Respond(200, "application/json",
-                     obs::TraceLog::Global().ExportChromeJson());
-    } else if (request.path == "/profilez") {
-      HandleProfilezRequest(request, std::move(handle));
-    } else {
+    if (!admin_.Handle(request, handle)) {
       handle.Respond(404, "text/plain", "not found\n");
     }
   };
   return server_.Start(server_options, std::move(handler), error);
 }
 
-void TelemetryServer::Stop() {
-  // Any in-flight /profilez capture answers through this server's event
-  // loop; reel it in before the loop goes away.
-  if (running()) obs::prof::CaptureManager::Global().CancelAndJoin();
-  server_.Stop();
-}
-
-std::function<HealthStatus()> BundleManagerHealth(
-    const BundleManager* manager) {
-  return [manager] {
-    HealthStatus health;
-    health.generation = manager->generation();
-    if (manager->reload_degraded()) {
-      health.ok = false;
-      health.detail = "last bundle push rolled back; serving generation " +
-                      std::to_string(health.generation);
-    }
-    return health;
-  };
-}
-
-bool HttpGet(int port, const std::string& path, int* status,
-             std::string* body) {
-  return HttpGetOnce(port, path, status, body);
-}
+void TelemetryServer::Stop() { AdminRoutes::StopServer(&server_); }
 
 }  // namespace apps
 }  // namespace dlinf

@@ -1,62 +1,26 @@
 #ifndef DLINF_APPS_TELEMETRY_SERVER_H_
 #define DLINF_APPS_TELEMETRY_SERVER_H_
 
-#include <functional>
 #include <string>
 
+#include "apps/admin_routes.h"
 #include "apps/http_conn.h"
 
 /// \file
-/// Embedded telemetry endpoint (DESIGN.md §10).
+/// Standalone telemetry endpoint (DESIGN.md §10): the admin routes of
+/// admin_routes.h on their own loopback port, for processes that run no
+/// other server — `dlinf_cli stream --world --telemetry-port` and the chaos
+/// drills. Anything but /metrics, /healthz, /varz, /tracez and /profilez is
+/// 404.
 ///
-/// A thin endpoint set over the shared non-blocking `HttpServer` event loop
-/// (http_conn.h), started by `dlinf_cli serve --telemetry-port`. Endpoints:
-///
-///   GET /metrics  Prometheus text exposition (format 0.0.4) of the global
-///                 MetricsRegistry: counters, gauges, histograms with
-///                 cumulative `_bucket{le=...}` series plus `_sum`/`_count`,
-///                 and span aggregates as labeled series.
-///   GET /healthz  200 {"status":"ok",...} while serving healthily;
-///                 503 {"status":"degraded",...} while the health provider
-///                 reports degradation (e.g. BundleManager after a rollback,
-///                 until the next clean swap). Body carries the live bundle
-///                 generation for both.
-///   GET /varz     MetricsRegistry::SnapshotJson() (the same JSON the
-///                 --metrics flag dumps).
-///   GET /tracez   TraceLog::ExportChromeJson() — recent sampled trace
-///                 events, loadable in Perfetto / chrome://tracing.
-///   GET /profilez On-demand CPU-profile capture (DESIGN.md §15):
-///                 `?seconds=N&hz=H` arms the sampling profiler, captures
-///                 for N seconds (default 2, 99 Hz) on a dedicated thread —
-///                 the event loop keeps answering other scrapes meanwhile —
-///                 and returns collapsed-stack text ready for
-///                 flamegraph.pl. `&format=chrome` returns the samples
-///                 merged with the TraceLog spans as one Chrome-trace
-///                 timeline. 409 while another capture is running.
-///
-/// Anything else is 404. Historically this was a sequential-accept loop,
-/// which let one slow client delay every other scrape — a stalled reader
-/// holding the socket blocked /healthz until its receive timeout. The
-/// endpoints now run on the epoll event loop: a half-sent request or an
-/// unread response parks on its own connection while other scrapes are
-/// answered immediately, and the loop's idle sweep evicts slow-loris
-/// connections (see the regression test in telemetry_server_test.cc).
-///
-/// All handlers read telemetry state through the same thread-safe snapshot
-/// calls tests use; the server adds no mutable state of its own beyond the
-/// `telemetry.http.requests` counter.
+/// The endpoints run on the epoll event loop of http_conn.h: a half-sent
+/// request or an unread response parks on its own connection while other
+/// scrapes are answered immediately, and the loop's idle sweep evicts
+/// slow-loris connections. The server adds no mutable state of its own
+/// beyond the `telemetry.http.requests` counter.
 
 namespace dlinf {
 namespace apps {
-
-class BundleManager;
-
-/// Health snapshot rendered by /healthz.
-struct HealthStatus {
-  bool ok = true;
-  uint64_t generation = 0;
-  std::string detail;  ///< Short human-readable reason when !ok.
-};
 
 class TelemetryServer {
  public:
@@ -66,7 +30,7 @@ class TelemetryServer {
     int port = 0;
 
     /// Called per /healthz request. Default: always ok, generation 0.
-    std::function<HealthStatus()> health;
+    HealthProvider health;
 
     /// Connections with no progress for this long are evicted (the
     /// slow-loris guard of the underlying event loop).
@@ -91,28 +55,9 @@ class TelemetryServer {
   bool running() const { return server_.running(); }
 
  private:
-  Options options_;
+  AdminRoutes admin_;
   HttpServer server_;
 };
-
-/// Shared /profilez endpoint logic (used by the telemetry server and the
-/// query engine): parses `seconds`/`hz`/`format` query parameters, starts
-/// an asynchronous capture through obs::prof::CaptureManager and answers
-/// via `handle` when it completes (409 inline when a capture is already
-/// running).
-void HandleProfilezRequest(const HttpRequest& request,
-                           HttpServer::ResponseHandle handle);
-
-/// Health provider wired to a BundleManager: not-ok while
-/// `reload_degraded()` (a push was rolled back and the service runs on the
-/// previous generation). `manager` must outlive the server.
-std::function<HealthStatus()> BundleManagerHealth(const BundleManager* manager);
-
-/// Minimal blocking one-shot GET against 127.0.0.1:`port` (test/tool
-/// helper; also used by the chaos healthz scenario). Returns false on
-/// connect/transport failure; otherwise fills `*status` and `*body`.
-bool HttpGet(int port, const std::string& path, int* status,
-             std::string* body);
 
 }  // namespace apps
 }  // namespace dlinf

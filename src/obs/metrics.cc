@@ -244,31 +244,6 @@ void MetricsRegistry::RecordSpan(const std::string& path, double seconds) {
   stats.total_seconds += seconds;
 }
 
-std::string MetricsRegistry::SnapshotText() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  for (const auto& [name, counter] : counters_) {
-    out += "counter " + name + " " + std::to_string(counter->value()) + "\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    out += "gauge " + name + " " + FormatDouble(gauge->value()) + "\n";
-  }
-  for (const auto& [name, hist] : histograms_) {
-    out += "histogram " + name + " count=" + std::to_string(hist->count()) +
-           " sum=" + FormatDouble(hist->sum()) +
-           " min=" + FormatDouble(hist->min()) +
-           " max=" + FormatDouble(hist->max()) +
-           " p50=" + FormatDouble(hist->Quantile(0.50)) +
-           " p95=" + FormatDouble(hist->Quantile(0.95)) +
-           " p99=" + FormatDouble(hist->Quantile(0.99)) + "\n";
-  }
-  for (const auto& [path, stats] : spans_) {
-    out += "span " + path + " count=" + std::to_string(stats.count) +
-           " total_seconds=" + FormatDouble(stats.total_seconds) + "\n";
-  }
-  return out;
-}
-
 std::string MetricsRegistry::SnapshotJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\n  \"counters\": {";

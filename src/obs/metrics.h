@@ -155,10 +155,6 @@ class MetricsRegistry {
   /// ("build_dataset/candidate_generation"). Called by obs::Span.
   void RecordSpan(const std::string& path, double seconds);
 
-  /// Plain-text snapshot: one `kind name value...` line per metric, sorted
-  /// by name (stable across identical runs; parse-friendly).
-  std::string SnapshotText() const;
-
   /// JSON snapshot: {"counters": {...}, "gauges": {...}, "histograms":
   /// {name: {count,sum,min,max,p50,p95,p99}}, "spans": {path:
   /// {count,total_seconds,min_seconds,max_seconds}}}.

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <utility>
 
+#include "apps/admin_routes.h"
 #include "common/string_util.h"
 #include "fault/fault.h"
 #include "obs/profiler.h"
@@ -117,33 +118,7 @@ constexpr const char* kJsonType = "application/json";
 std::string ErrorJson(const std::string& message) {
   // Messages echo client-supplied tokens, so every control character must
   // be escaped or the error body itself stops being valid JSON.
-  std::string escaped;
-  for (const char c : message) {
-    switch (c) {
-      case '"':
-        escaped += "\\\"";
-        break;
-      case '\\':
-        escaped += "\\\\";
-        break;
-      case '\n':
-        escaped += "\\n";
-        break;
-      case '\r':
-        escaped += "\\r";
-        break;
-      case '\t':
-        escaped += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          escaped += StrPrintf("\\u%04x", static_cast<unsigned char>(c));
-        } else {
-          escaped.push_back(c);
-        }
-    }
-  }
-  return "{\"error\":\"" + escaped + "\"}\n";
+  return "{\"error\":\"" + apps::JsonEscape(message) + "\"}\n";
 }
 
 }  // namespace
@@ -297,7 +272,7 @@ bool IngestServer::Start(std::string* error) {
 
 void IngestServer::Stop() {
   if (!running_) return;
-  http_.Stop();
+  apps::AdminRoutes::StopServer(&http_);
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     writer_stop_ = true;
@@ -310,7 +285,7 @@ void IngestServer::Stop() {
 
 void IngestServer::CrashForTest() {
   if (!running_) return;
-  http_.Stop();
+  apps::AdminRoutes::StopServer(&http_);
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     writer_crashed_ = true;
@@ -359,16 +334,14 @@ std::string IngestServer::StatsJson() const {
 
 void IngestServer::HandleRequest(const apps::HttpRequest& request,
                                  apps::HttpServer::ResponseHandle handle) {
-  if (request.path == "/healthz") {
-    handle.Respond(200, "text/plain", "ok\n");
-    return;
-  }
   if (request.path == "/ingest/stats") {
     handle.Respond(200, kJsonType, StatsJson());
     return;
   }
   if (request.path != "/ingest") {
-    handle.Respond(404, kJsonType, ErrorJson("no such endpoint"));
+    if (!admin_.Handle(request, handle)) {
+      handle.Respond(404, kJsonType, ErrorJson("no such endpoint"));
+    }
     return;
   }
   if (request.method != "POST") {

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "apps/admin_routes.h"
 #include "apps/http_conn.h"
 #include "dlinfma/candidate_generation.h"
 #include "sim/world.h"
@@ -54,6 +55,11 @@
 ///        Never blocks the event loop, never silent.
 ///   503  WAL append failed (wal.{write_fail,disk_full,torn_write,
 ///        fsync_fail}) — dedup state unchanged, the retry is safe.
+///
+/// `GET /ingest/stats` reports the Stats counters as JSON. Every other path
+/// goes to the shared admin routes (apps/admin_routes.h: /metrics,
+/// /healthz, /varz, /tracez, /profilez), so the ingest listener is scraped
+/// like any other server.
 ///
 /// ## Client cardinality
 ///
@@ -220,6 +226,7 @@ class IngestServer {
   std::string StatsJson() const;
 
   Options options_;
+  apps::AdminRoutes admin_;
   apps::HttpServer http_;
   std::unique_ptr<StreamIngestor> ingestor_;
   std::optional<WalWriter> wal_;

@@ -5,7 +5,6 @@
 #include "common/random.h"
 #include "geo/geohash.h"
 #include "geo/grid_index.h"
-#include "geo/kdtree.h"
 #include "geo/latlng.h"
 #include "geo/point.h"
 #include "gtest/gtest.h"
@@ -116,67 +115,6 @@ TEST(GridIndexTest, RemoveDeletesExactEntry) {
   const std::vector<int64_t> left = index.RadiusQuery({5, 5}, 1.0);
   ASSERT_EQ(left.size(), 1u);
   EXPECT_EQ(left[0], 2);
-}
-
-TEST(KdTreeTest, NearestMatchesBruteForce) {
-  Rng rng(13);
-  std::vector<Point> points;
-  for (int i = 0; i < 400; ++i) {
-    points.push_back({rng.Uniform(-100, 100), rng.Uniform(-100, 100)});
-  }
-  KdTree tree(points);
-  for (int trial = 0; trial < 50; ++trial) {
-    const Point q{rng.Uniform(-120, 120), rng.Uniform(-120, 120)};
-    double want = std::numeric_limits<double>::infinity();
-    for (const Point& p : points) want = std::min(want, Distance(p, q));
-    double got = 0.0;
-    ASSERT_GE(tree.Nearest(q, &got), 0);
-    EXPECT_NEAR(got, want, 1e-9);
-  }
-}
-
-TEST(KdTreeTest, KNearestSortedAndComplete) {
-  Rng rng(14);
-  std::vector<Point> points;
-  for (int i = 0; i < 100; ++i) {
-    points.push_back({rng.Uniform(0, 100), rng.Uniform(0, 100)});
-  }
-  KdTree tree(points);
-  const Point q{50, 50};
-  const std::vector<int64_t> got = tree.KNearest(q, 10);
-  ASSERT_EQ(got.size(), 10u);
-  // Sorted ascending by distance.
-  for (size_t i = 1; i < got.size(); ++i) {
-    EXPECT_LE(Distance(points[got[i - 1]], q), Distance(points[got[i]], q));
-  }
-  // Matches brute-force top-10 distance set.
-  std::vector<double> all;
-  for (const Point& p : points) all.push_back(Distance(p, q));
-  std::sort(all.begin(), all.end());
-  EXPECT_NEAR(Distance(points[got.back()], q), all[9], 1e-9);
-}
-
-TEST(KdTreeTest, RadiusQueryMatchesBruteForce) {
-  Rng rng(15);
-  std::vector<Point> points;
-  for (int i = 0; i < 200; ++i) {
-    points.push_back({rng.Uniform(0, 100), rng.Uniform(0, 100)});
-  }
-  KdTree tree(points);
-  const Point q{30, 60};
-  std::vector<int64_t> got = tree.RadiusQuery(q, 20.0);
-  std::sort(got.begin(), got.end());
-  std::vector<int64_t> want;
-  for (int i = 0; i < 200; ++i) {
-    if (Distance(points[i], q) <= 20.0) want.push_back(i);
-  }
-  EXPECT_EQ(got, want);
-}
-
-TEST(KdTreeTest, EmptyTree) {
-  KdTree tree({});
-  EXPECT_EQ(tree.Nearest({0, 0}), -1);
-  EXPECT_TRUE(tree.KNearest({0, 0}, 3).empty());
 }
 
 TEST(GeohashTest, KnownEncoding) {

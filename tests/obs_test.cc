@@ -194,24 +194,33 @@ TEST(RegistryTest, SnapshotTextRoundTrip) {
   registry.GetHistogram("rt.latency")->Observe(0.5);
   registry.RecordSpan("rt_stage", 1.5);
 
-  // Parse the text snapshot back: `kind name value...` lines, sorted.
+  // Parse the JSON snapshot text back: one `"name": value` line per metric,
+  // under a `"section": {` line, sorted by name within each section.
   std::map<std::string, std::string> parsed;
-  std::istringstream lines(registry.SnapshotText());
-  std::string line;
+  std::istringstream lines(registry.SnapshotJson());
+  std::string line, section;
   while (std::getline(lines, line)) {
-    std::istringstream fields(line);
-    std::string kind, name, rest;
-    fields >> kind >> name;
-    std::getline(fields, rest);
-    parsed[kind + " " + name] = rest;
+    const size_t open = line.find('"');
+    const size_t close = line.find("\": ", open + 1);
+    if (open == std::string::npos || close == std::string::npos) continue;
+    const std::string name = line.substr(open + 1, close - open - 1);
+    std::string rest = line.substr(close + 3);
+    if (open == 2) {
+      section = name;
+      continue;
+    }
+    if (!rest.empty() && rest.back() == ',') rest.pop_back();
+    parsed[section + " " + name] = rest;
   }
   EXPECT_EQ(parsed.size(), 5u);
-  EXPECT_EQ(parsed["counter rt.queries"], " 17");
-  EXPECT_EQ(parsed["counter rt.errors"], " 2");
-  EXPECT_EQ(parsed["gauge rt.depth"], " 4");
-  EXPECT_NE(parsed["histogram rt.latency"].find("count=1"), std::string::npos);
-  EXPECT_NE(parsed["histogram rt.latency"].find("sum=0.5"), std::string::npos);
-  EXPECT_NE(parsed["span rt_stage"].find("total_seconds=1.5"),
+  EXPECT_EQ(parsed["counters rt.queries"], "17");
+  EXPECT_EQ(parsed["counters rt.errors"], "2");
+  EXPECT_EQ(parsed["gauges rt.depth"], "4");
+  EXPECT_NE(parsed["histograms rt.latency"].find("\"count\": 1,"),
+            std::string::npos);
+  EXPECT_NE(parsed["histograms rt.latency"].find("\"sum\": 0.5,"),
+            std::string::npos);
+  EXPECT_NE(parsed["spans rt_stage"].find("\"total_seconds\": 1.5,"),
             std::string::npos);
 }
 
@@ -375,9 +384,10 @@ TEST(SpanTest, NestedSpansBuildSlashPaths) {
     EXPECT_EQ(Span::CurrentPath(), "outer_stage");
   }
   EXPECT_EQ(Span::CurrentPath(), "");
-  const std::string text = MetricsRegistry::Global().SnapshotText();
-  EXPECT_NE(text.find("span outer_stage "), std::string::npos);
-  EXPECT_NE(text.find("span outer_stage/inner_stage "), std::string::npos);
+  const std::string json = MetricsRegistry::Global().SnapshotJson();
+  EXPECT_NE(json.find("\"outer_stage\": {\"count\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"outer_stage/inner_stage\": {\"count\": 1"),
+            std::string::npos);
 }
 
 TEST(SpanTest, RepeatedSpansAggregate) {
@@ -385,8 +395,9 @@ TEST(SpanTest, RepeatedSpansAggregate) {
   for (int i = 0; i < 3; ++i) {
     Span span("repeated_stage");
   }
-  const std::string text = MetricsRegistry::Global().SnapshotText();
-  EXPECT_NE(text.find("span repeated_stage count=3"), std::string::npos);
+  const std::string json = MetricsRegistry::Global().SnapshotJson();
+  EXPECT_NE(json.find("\"repeated_stage\": {\"count\": 3"),
+            std::string::npos);
 }
 
 TEST(SpanTest, DisabledMetricsSkipSpans) {
@@ -397,7 +408,7 @@ TEST(SpanTest, DisabledMetricsSkipSpans) {
     EXPECT_EQ(Span::CurrentPath(), "");
   }
   SetMetricsEnabled(true);
-  EXPECT_EQ(MetricsRegistry::Global().SnapshotText().find("disabled_stage"),
+  EXPECT_EQ(MetricsRegistry::Global().SnapshotJson().find("disabled_stage"),
             std::string::npos);
 }
 

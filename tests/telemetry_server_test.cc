@@ -34,7 +34,7 @@ TEST(TelemetryServerTest, StartsOnEphemeralPortAndServesMetrics) {
 
   int status = 0;
   std::string body;
-  ASSERT_TRUE(HttpGet(server.port(), "/metrics", &status, &body));
+  ASSERT_TRUE(HttpGetOnce(server.port(), "/metrics", &status, &body));
   EXPECT_EQ(status, 200);
   EXPECT_NE(body.find("# TYPE telemetry_test_requests counter"),
             std::string::npos);
@@ -62,19 +62,19 @@ TEST(TelemetryServerTest, HealthzRendersProviderVerdict) {
 
   int status = 0;
   std::string body;
-  ASSERT_TRUE(HttpGet(server.port(), "/healthz", &status, &body));
+  ASSERT_TRUE(HttpGetOnce(server.port(), "/healthz", &status, &body));
   EXPECT_EQ(status, 200);
   EXPECT_NE(body.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_NE(body.find("\"generation\":7"), std::string::npos);
 
   healthy.store(false);
-  ASSERT_TRUE(HttpGet(server.port(), "/healthz", &status, &body));
+  ASSERT_TRUE(HttpGetOnce(server.port(), "/healthz", &status, &body));
   EXPECT_EQ(status, 503);
   EXPECT_NE(body.find("\"status\":\"degraded\""), std::string::npos);
   EXPECT_NE(body.find("rolled back"), std::string::npos);
 
   healthy.store(true);
-  ASSERT_TRUE(HttpGet(server.port(), "/healthz", &status, &body));
+  ASSERT_TRUE(HttpGetOnce(server.port(), "/healthz", &status, &body));
   EXPECT_EQ(status, 200);
   server.Stop();
 }
@@ -87,11 +87,11 @@ TEST(TelemetryServerTest, VarzAndTracezAreServed) {
 
   int status = 0;
   std::string body;
-  ASSERT_TRUE(HttpGet(server.port(), "/varz", &status, &body));
+  ASSERT_TRUE(HttpGetOnce(server.port(), "/varz", &status, &body));
   EXPECT_EQ(status, 200);
   EXPECT_NE(body.find("\"counters\""), std::string::npos);
 
-  ASSERT_TRUE(HttpGet(server.port(), "/tracez", &status, &body));
+  ASSERT_TRUE(HttpGetOnce(server.port(), "/tracez", &status, &body));
   EXPECT_EQ(status, 200);
   EXPECT_NE(body.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(body.find("telemetry_test.mark"), std::string::npos);
@@ -104,7 +104,7 @@ TEST(TelemetryServerTest, UnknownPathIs404) {
   ASSERT_TRUE(server.Start({}));
   int status = 0;
   std::string body;
-  ASSERT_TRUE(HttpGet(server.port(), "/nope", &status, &body));
+  ASSERT_TRUE(HttpGetOnce(server.port(), "/nope", &status, &body));
   EXPECT_EQ(status, 404);
   server.Stop();
 }
@@ -118,10 +118,10 @@ TEST(TelemetryServerTest, StopIsIdempotentAndAllowsRestart) {
   EXPECT_FALSE(server.running());
   int status = 0;
   std::string body;
-  EXPECT_FALSE(HttpGet(first_port, "/healthz", &status, &body));
+  EXPECT_FALSE(HttpGetOnce(first_port, "/healthz", &status, &body));
 
   ASSERT_TRUE(server.Start({}));
-  ASSERT_TRUE(HttpGet(server.port(), "/healthz", &status, &body));
+  ASSERT_TRUE(HttpGetOnce(server.port(), "/healthz", &status, &body));
   EXPECT_EQ(status, 200);
   server.Stop();
 }
@@ -169,7 +169,7 @@ TEST(TelemetryServerTest, ConcurrentScrapesRaceLiveUpdates) {
         for (int i = 0; i < kRequestsPerScraper; ++i) {
           int status = 0;
           std::string body;
-          if (!HttpGet(port, paths[(t + i) % 4], &status, &body) ||
+          if (!HttpGetOnce(port, paths[(t + i) % 4], &status, &body) ||
               status != 200 || body.empty()) {
             failures.fetch_add(1);
           }

@@ -801,7 +801,7 @@ void RunHealthzDuringRollback(Checker& check) {
   auto healthz_status = [&](const char* when) {
     int status = 0;
     std::string body;
-    if (!apps::HttpGet(port, "/healthz", &status, &body)) {
+    if (!apps::HttpGetOnce(port, "/healthz", &status, &body)) {
       check.Expect(false, std::string("healthz unreachable ") + when);
       return std::make_pair(0, std::string());
     }
@@ -825,7 +825,7 @@ void RunHealthzDuringRollback(Checker& check) {
     while (!stop.load(std::memory_order_acquire)) {
       int status = 0;
       std::string body;
-      if (!apps::HttpGet(port, "/healthz", &status, &body) ||
+      if (!apps::HttpGetOnce(port, "/healthz", &status, &body) ||
           (status != 200 && status != 503)) {
         bad_probes.fetch_add(1, std::memory_order_relaxed);
       }
@@ -857,7 +857,7 @@ void RunHealthzDuringRollback(Checker& check) {
   {
     int status = 0;
     std::string body;
-    check.Expect(apps::HttpGet(port, "/metrics", &status, &body),
+    check.Expect(apps::HttpGetOnce(port, "/metrics", &status, &body),
                  "metrics unreachable during rollback window");
     check.ExpectEq(status, 200, "metrics status during rollback window");
     check.Expect(
@@ -989,7 +989,7 @@ void RunShardReloadUnderLoad(Checker& check) {
   {
     const auto [status, body] = healthz_status("at boot");
     check.ExpectEq(status, 200, "healthz status at boot");
-    check.Expect(body.find("\"ok\":true") != std::string::npos,
+    check.Expect(body.find("\"status\":\"ok\"") != std::string::npos,
                  "healthz body at boot: " + body);
   }
 
@@ -1011,7 +1011,7 @@ void RunShardReloadUnderLoad(Checker& check) {
   {
     const auto [status, body] = healthz_status("during rollback window");
     check.ExpectEq(status, 503, "healthz status during rollback window");
-    check.Expect(body.find("\"ok\":false") != std::string::npos,
+    check.Expect(body.find("\"status\":\"degraded\"") != std::string::npos,
                  "healthz body during rollback window: " + body);
   }
   wait_for_answers(answered.load() + 32, "inside the rollback window");
@@ -1032,7 +1032,7 @@ void RunShardReloadUnderLoad(Checker& check) {
   {
     const auto [status, body] = healthz_status("after recovery");
     check.ExpectEq(status, 200, "healthz status after recovery");
-    check.Expect(body.find("\"ok\":true") != std::string::npos,
+    check.Expect(body.find("\"status\":\"ok\"") != std::string::npos,
                  "healthz body after recovery: " + body);
   }
   wait_for_answers(answered.load() + 32, "after recovery");
@@ -1142,7 +1142,7 @@ void RunStreamIngestUnderFaults(Checker& check) {
   auto healthz_status = [&](const char* when) {
     int status = 0;
     std::string body;
-    if (!apps::HttpGet(port, "/healthz", &status, &body)) {
+    if (!apps::HttpGetOnce(port, "/healthz", &status, &body)) {
       check.Expect(false, std::string("healthz unreachable ") + when);
       return 0;
     }

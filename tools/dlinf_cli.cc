@@ -19,31 +19,20 @@
 //       5); --resume restores it first, so a killed run finishes
 //       bit-identical to an uninterrupted one.
 //
-//   dlinf_cli serve --bundle DIR [--queries N] [--batch B] [--threads T]
-//              [--watch-bundle [--poll-every K]]
-//              [--telemetry-port P [--trace-sample R] [--linger-seconds S]]
-//              [--shards N [--port P] [--serve-seconds S] [--poll-every K]]
-//       The online service: warm-start from the bundle (milliseconds, no
-//       retraining), score every delivered address, build the 3-tier
-//       delivery-location service, then answer N address queries (default
-//       10000) in batches of B (default 256) on T pool threads (default 4)
-//       through the QueryBatch API, reporting warm-start and per-batch
-//       latency. --watch-bundle serves through the hot-reload BundleManager
-//       (apps/bundle_manager.h): every K batches (default 8) the bundle
-//       directory is polled, a fresh push is staged + shadow-validated and
-//       swapped in with zero downtime, and a bad push rolls back to the
-//       live bundle. --telemetry-port starts the embedded telemetry
-//       endpoint (apps/telemetry_server.h; port 0 picks a free port) with
-//       /metrics, /healthz, /varz and /tracez, arms trace recording at
-//       sampling rate R (default 0.01), and keeps the process (and the
-//       endpoint) alive S extra seconds after the query load finishes so
-//       external scrapers can read the final state. With --shards N the
-//       command instead boots the sharded HTTP query engine (DESIGN.md
-//       §11): N shard workers behind one epoll event loop on --port P
-//       (default 0 = ephemeral), serving /query, /query_batch, /metrics,
-//       /healthz, /varz and /inventory until --serve-seconds S elapses
-//       (default 0 = until killed), polling for bundle pushes every
-//       --poll-every K seconds; drive it with tools/load_gen.
+//   dlinf_cli serve --bundle DIR [--shards N] [--port P] [--serve-seconds S]
+//              [--poll-every K] [--trace-sample R]
+//       The online service (DESIGN.md §11): warm-start N shard workers
+//       (default: QueryEngine::Options) from the bundle — milliseconds, no
+//       retraining — behind one epoll event loop on port P (default 0 =
+//       ephemeral; the bound port is printed). It serves /query,
+//       /query_batch and /inventory plus the shared admin routes /metrics,
+//       /healthz, /varz, /tracez and /profilez (DESIGN.md §10) until S
+//       seconds elapse (default 0 = until SIGINT/SIGTERM). Every K seconds
+//       (default 5) each shard polls the bundle directory: a fresh push is
+//       staged, shadow-validated and swapped in with zero downtime, and a
+//       bad push rolls back (and /healthz turns 503 until the next clean
+//       swap). Per-request traces for /tracez are sampled at rate R
+//       (default 0.01). Drive it with tools/load_gen.
 //
 //   dlinf_cli infer (--bundle DIR | --world DIR --model FILE) --out FILE.csv
 //       Write the inferred delivery location of every delivered address as
@@ -96,6 +85,9 @@
 //   dlinf_cli evaluate --world DIR [--quick]
 //       Compare DLInfMA against the heuristic baselines on the test split.
 //
+//   Numeric flag values are parsed strictly: a value with trailing
+//   characters (--shards 4x) is a one-line error and exit 2.
+//
 //   Any command additionally accepts --metrics [FILE]: after the command
 //   finishes, dump the process metrics registry (pipeline stage timers,
 //   service tier hits, thread-pool stats; see DESIGN.md §6) as JSON to FILE,
@@ -121,12 +113,13 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "apps/bundle_manager.h"
-#include "apps/location_service.h"
 #include "apps/query_engine.h"
 #include "apps/telemetry_server.h"
 #include "baselines/evaluation.h"
@@ -135,7 +128,6 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "dlinfma/dlinfma_method.h"
 #include "dlinfma/inferrer.h"
 #include "io/bundle.h"
@@ -179,16 +171,35 @@ int Usage() {
   return 2;
 }
 
+/// A numeric flag whose value does not parse; main() reports it and exits 2.
+struct FlagError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The value of --`key` parsed strictly as a T ("4x" is an error, never 4),
+/// or `fallback` when the flag is absent.
+template <typename T>
+T NumericFlag(const std::map<std::string, std::string>& flags,
+              const std::string& key, T fallback) {
+  auto it = flags.find(key);
+  if (it == flags.end()) return fallback;
+  T value{};
+  if (!ParseNumber(it->second, &value)) {
+    throw FlagError("--" + key + " wants " +
+                    (std::is_integral_v<T> ? "an integer" : "a number") +
+                    ", got '" + it->second + "'");
+  }
+  return value;
+}
+
 int IntFlag(const std::map<std::string, std::string>& flags,
             const std::string& key, int fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stoi(it->second);
+  return NumericFlag<int>(flags, key, fallback);
 }
 
 double DoubleFlag(const std::map<std::string, std::string>& flags,
                   const std::string& key, double fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::stod(it->second);
+  return NumericFlag<double>(flags, key, fallback);
 }
 
 /// Typed user-input validation: a path handed to --world/--bundle/--ckpt
@@ -223,12 +234,8 @@ int CmdGenerate(const std::map<std::string, std::string>& flags) {
   if (preset != flags.end() && preset->second == "subbj") {
     config = sim::SynSubBJConfig();
   }
-  if (auto it = flags.find("days"); it != flags.end()) {
-    config.num_days = std::stoi(it->second);
-  }
-  if (auto it = flags.find("seed"); it != flags.end()) {
-    config.seed = std::stoull(it->second);
-  }
+  config.num_days = IntFlag(flags, "days", config.num_days);
+  config.seed = NumericFlag<uint64_t>(flags, "seed", config.seed);
   auto out = flags.find("out");
   if (out == flags.end()) return Usage();
   const sim::World world = sim::GenerateWorld(config);
@@ -476,18 +483,46 @@ int CmdInfer(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-/// `serve --shards N`: the sharded HTTP query engine (DESIGN.md §11).
-/// Boots a QueryEngine over the bundle, prints the bound port, then serves
-/// until --serve-seconds elapses (0 = until killed), polling every shard's
+volatile std::sig_atomic_t g_stop_requested = 0;
+
+void HandleStopSignal(int) { g_stop_requested = 1; }
+
+/// Blocks until `seconds` elapse (0 = forever) or SIGINT/SIGTERM arrives,
+/// calling `tick` with the elapsed seconds every 50 ms. Returns the elapsed
+/// seconds.
+double ServeUntilStopped(double seconds,
+                         const std::function<void(double)>& tick = nullptr) {
+  g_stop_requested = 0;
+  std::signal(SIGINT, HandleStopSignal);
+  std::signal(SIGTERM, HandleStopSignal);
+  Stopwatch watch;
+  while (g_stop_requested == 0 &&
+         (seconds <= 0.0 || watch.ElapsedSeconds() < seconds)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    if (tick) tick(watch.ElapsedSeconds());
+  }
+  std::signal(SIGINT, SIG_DFL);
+  std::signal(SIGTERM, SIG_DFL);
+  return watch.ElapsedSeconds();
+}
+
+/// `serve`: the sharded HTTP query engine (DESIGN.md §11). Boots a
+/// QueryEngine over the bundle, prints the bound port, then serves until
+/// --serve-seconds elapses (0 = until SIGINT/SIGTERM), polling every shard's
 /// bundle directory for pushes every --poll-every seconds.
-int CmdServeEngine(const std::map<std::string, std::string>& flags) {
+int CmdServe(const std::map<std::string, std::string>& flags) {
+  if (flags.count("bundle") == 0) return Usage();
   const std::string& dir = flags.at("bundle");
   if (!PathUsable("--bundle", dir, /*want_dir=*/true)) return 1;
 
   apps::QueryEngine::Options options;
   options.bundle_dir = dir;
-  options.num_shards = std::max(1, IntFlag(flags, "shards", 4));
-  options.port = IntFlag(flags, "port", 0);
+  options.num_shards =
+      std::max(1, IntFlag(flags, "shards", options.num_shards));
+  options.port = IntFlag(flags, "port", options.port);
+  const double serve_seconds = DoubleFlag(flags, "serve-seconds", 0.0);
+  const double poll_every_s = DoubleFlag(flags, "poll-every", 5.0);
+  const double trace_sample = DoubleFlag(flags, "trace-sample", 0.01);
   Stopwatch watch;
   std::string error;
   std::unique_ptr<apps::QueryEngine> engine =
@@ -497,31 +532,30 @@ int CmdServeEngine(const std::map<std::string, std::string>& flags) {
                  error.c_str());
     return 1;
   }
+  // Arm per-request trace sampling for /tracez unless --trace-out already
+  // armed a record-everything session in main().
+  if (!obs::TracingArmed()) obs::TraceLog::Global().Start(trace_sample);
   std::printf(
       "query engine up in %.2f s: %d shards on http://127.0.0.1:%d "
-      "(/query /query_batch /metrics /healthz /varz /inventory)\n",
+      "(/query /query_batch /inventory /metrics /healthz /varz /tracez "
+      "/profilez)\n",
       watch.ElapsedSeconds(), engine->num_shards(), engine->port());
   std::fflush(stdout);
 
-  const double serve_seconds = DoubleFlag(flags, "serve-seconds", 0.0);
-  const int poll_every_s = std::max(1, IntFlag(flags, "poll-every", 5));
-  watch.Reset();
   double last_poll = 0.0;
-  while (serve_seconds <= 0.0 || watch.ElapsedSeconds() < serve_seconds) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    if (watch.ElapsedSeconds() - last_poll >= poll_every_s) {
-      last_poll = watch.ElapsedSeconds();
-      const apps::QueryEngine::ReloadSummary summary =
-          engine->PollShards(&error);
-      if (summary.swapped > 0 || summary.rolled_back > 0) {
-        std::printf("hot-reload: %d shard(s) swapped, %d rolled back%s%s\n",
-                    summary.swapped, summary.rolled_back,
-                    summary.rolled_back > 0 ? ": " : "",
-                    summary.rolled_back > 0 ? error.c_str() : "");
-        std::fflush(stdout);
-      }
+  ServeUntilStopped(serve_seconds, [&](double elapsed) {
+    if (elapsed - last_poll < poll_every_s) return;
+    last_poll = elapsed;
+    const apps::QueryEngine::ReloadSummary summary =
+        engine->PollShards(&error);
+    if (summary.swapped > 0 || summary.rolled_back > 0) {
+      std::printf("hot-reload: %d shard(s) swapped, %d rolled back%s%s\n",
+                  summary.swapped, summary.rolled_back,
+                  summary.rolled_back > 0 ? ": " : "",
+                  summary.rolled_back > 0 ? error.c_str() : "");
+      std::fflush(stdout);
     }
-  }
+  });
   engine->Stop();
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -542,197 +576,14 @@ int CmdServeEngine(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdServe(const std::map<std::string, std::string>& flags) {
-  if (flags.count("bundle") == 0) return Usage();
-  if (flags.count("shards") > 0) return CmdServeEngine(flags);
-  const bool watch_bundle = flags.count("watch-bundle") > 0;
-  const int poll_every = std::max(1, IntFlag(flags, "poll-every", 8));
-
-  // Two serving modes share the query loop: a fixed warm-started bundle, or
-  // the hot-reload BundleManager that re-resolves the live generation every
-  // batch and polls the directory for pushes.
-  std::optional<io::WarmBundle> fixed_bundle;
-  std::optional<apps::DeliveryLocationService> fixed_service;
-  std::vector<dlinfma::AddressSample> fixed_samples;
-  std::unique_ptr<apps::BundleManager> manager;
-  Stopwatch watch;
-  if (watch_bundle) {
-    const std::string& dir = flags.at("bundle");
-    if (!PathUsable("--bundle", dir, /*want_dir=*/true)) return 1;
-    apps::BundleManager::Config config;
-    config.dir = dir;
-    std::string error;
-    manager = apps::BundleManager::Create(config, &error);
-    if (manager == nullptr) {
-      std::fprintf(stderr, "error: cannot load bundle: %s\n", error.c_str());
-      return 1;
-    }
-    const auto state = manager->state();
-    std::printf(
-        "service up in %.2f s (generation %llu, watching %s): %zu address "
-        "entries, %zu building entries\n",
-        watch.ElapsedSeconds(),
-        static_cast<unsigned long long>(state->generation), dir.c_str(),
-        state->service->address_entries(), state->service->building_entries());
-  } else {
-    fixed_bundle = LoadBundleFlag(flags);
-    if (!fixed_bundle) return 1;
-    watch.Reset();
-    fixed_samples = io::AllSamples(fixed_bundle->samples);
-    fixed_service = apps::DeliveryLocationService::BuildFromInferrer(
-        *fixed_bundle->world, fixed_bundle->data, fixed_samples,
-        fixed_bundle->method.get());
-    std::printf(
-        "service up in %.2f s: %zu address entries, %zu building entries\n",
-        watch.ElapsedSeconds(), fixed_service->address_entries(),
-        fixed_service->building_entries());
-  }
-
-  // Embedded telemetry endpoint: scrapeable while the query load runs (and
-  // for --linger-seconds after it, so CI / operators can read final state).
-  apps::TelemetryServer telemetry;
-  if (auto it = flags.find("telemetry-port"); it != flags.end()) {
-    apps::TelemetryServer::Options options;
-    options.port = it->second == "true" ? 0 : std::stoi(it->second);
-    if (manager != nullptr) {
-      options.health = apps::BundleManagerHealth(manager.get());
-    }
-    std::string error;
-    if (!telemetry.Start(options, &error)) {
-      std::fprintf(stderr, "error: cannot start telemetry server: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    // Arm per-query trace sampling unless --trace-out already armed a
-    // record-everything session in main().
-    if (!obs::TracingArmed()) {
-      obs::TraceLog::Global().Start(DoubleFlag(flags, "trace-sample", 0.01));
-    }
-    std::printf("telemetry: http://127.0.0.1:%d (/metrics /healthz /varz "
-                "/tracez)\n",
-                telemetry.port());
-    std::fflush(stdout);
-  }
-
-  // Drive a batched query load through the pool-backed QueryBatch API.
-  const int num_queries = IntFlag(flags, "queries", 10000);
-  const int batch_size = std::max(1, IntFlag(flags, "batch", 256));
-  const int num_threads = IntFlag(flags, "threads", 4);
-  ThreadPool pool(num_threads);
-
-  watch.Reset();
-  int64_t answered = 0;
-  int64_t tier_hits[3] = {0, 0, 0};
-  std::vector<int64_t> batch;
-  batch.reserve(batch_size);
-  int batch_index = 0;
-  for (int q = 0; q < num_queries;) {
-    // Pin one generation per batch: in-flight answers always come from a
-    // single consistent bundle even if a swap lands mid-run.
-    std::shared_ptr<const apps::BundleManager::ServingState> pinned;
-    const apps::DeliveryLocationService* service = nullptr;
-    const std::vector<sim::Address>* addresses = nullptr;
-    if (manager != nullptr) {
-      if (batch_index % poll_every == 0) {
-        std::string error;
-        switch (manager->Poll(&error)) {
-          case apps::BundleManager::ReloadOutcome::kSwapped:
-            std::printf("hot-reload: swapped to generation %llu\n",
-                        static_cast<unsigned long long>(
-                            manager->state()->generation));
-            break;
-          case apps::BundleManager::ReloadOutcome::kRolledBack:
-            std::printf("hot-reload: rolled back (%s)\n", error.c_str());
-            break;
-          case apps::BundleManager::ReloadOutcome::kUnchanged:
-            break;
-        }
-      }
-      pinned = manager->state();
-      service = pinned->service.get();
-      addresses = &pinned->bundle.world->addresses;
-    } else {
-      service = &*fixed_service;
-      addresses = &fixed_bundle->world->addresses;
-    }
-    if (addresses->empty()) {
-      std::fprintf(stderr, "error: bundle world has no addresses\n");
-      return 1;
-    }
-    ++batch_index;
-
-    batch.clear();
-    for (; q < num_queries && static_cast<int>(batch.size()) < batch_size;
-         ++q) {
-      batch.push_back((*addresses)[q % addresses->size()].id);
-    }
-    for (const auto& answer : service->QueryBatch(batch, &pool)) {
-      ++tier_hits[static_cast<int>(answer.source)];
-      ++answered;
-    }
-  }
-  const double elapsed = watch.ElapsedSeconds();
-  std::printf(
-      "answered %lld queries in %.3f s (%.0f queries/s, batch=%d, "
-      "threads=%d)\n",
-      static_cast<long long>(answered), elapsed,
-      elapsed > 0 ? static_cast<double>(answered) / elapsed : 0.0, batch_size,
-      num_threads);
-  std::printf("tier hits: address %lld, building %lld, geocode %lld\n",
-              static_cast<long long>(tier_hits[0]),
-              static_cast<long long>(tier_hits[1]),
-              static_cast<long long>(tier_hits[2]));
-  const obs::Histogram* batch_latency =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "service.query.batch_latency_seconds");
-  if (batch_latency->count() > 0) {
-    std::printf("batch latency: p50 %.0f us, p95 %.0f us, max %.0f us\n",
-                batch_latency->Quantile(0.5) * 1e6,
-                batch_latency->Quantile(0.95) * 1e6,
-                batch_latency->max() * 1e6);
-  }
-  if (manager != nullptr) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    std::printf(
-        "hot-reload: generation %llu, %lld attempts, %lld swapped, "
-        "%lld rolled back%s\n",
-        static_cast<unsigned long long>(manager->generation()),
-        static_cast<long long>(
-            registry.GetCounter("service.reload.attempts")->value()),
-        static_cast<long long>(
-            registry.GetCounter("service.reload.success")->value()),
-        static_cast<long long>(
-            registry.GetCounter("service.reload.rollbacks")->value()),
-        manager->reload_degraded() ? " [degraded: last push rejected]" : "");
-  }
-  if (telemetry.running()) {
-    const int linger = IntFlag(flags, "linger-seconds", 0);
-    if (linger > 0) {
-      std::printf("telemetry: lingering %d s for scrapers\n", linger);
-      std::fflush(stdout);
-      std::this_thread::sleep_for(std::chrono::seconds(linger));
-    }
-    telemetry.Stop();
-  }
-  return 0;
-}
-
-volatile std::sig_atomic_t g_stop_requested = 0;
-
-void HandleStopSignal(int) { g_stop_requested = 1; }
-
 /// `stream --listen`: durable network ingestion (see the header comment).
 int CmdStreamListen(const std::map<std::string, std::string>& flags) {
   stream::IngestServer::Options options;
-  {
-    const std::string& value = flags.at("listen");
-    char* end = nullptr;
-    options.port = static_cast<int>(std::strtol(value.c_str(), &end, 10));
-    if (end == value.c_str() || *end != '\0' || options.port < 0) {
-      std::fprintf(stderr, "error: --listen wants a port number, got %s\n",
-                   value.c_str());
-      return 2;
-    }
+  options.port = IntFlag(flags, "listen", 0);
+  if (options.port < 0) {
+    std::fprintf(stderr, "error: --listen wants a port number, got %d\n",
+                 options.port);
+    return 2;
   }
   if (flags.count("wal-dir") == 0 || flags.at("wal-dir") == "true") {
     std::fprintf(stderr, "error: --listen requires --wal-dir DIR\n");
@@ -783,25 +634,15 @@ int CmdStreamListen(const std::map<std::string, std::string>& flags) {
       static_cast<long long>(boot.trips));
   std::fflush(stdout);
 
-  g_stop_requested = 0;
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-  const double serve_seconds = DoubleFlag(flags, "serve-seconds", 0.0);
-  Stopwatch serve_time;
-  while (g_stop_requested == 0 &&
-         (serve_seconds <= 0.0 ||
-          serve_time.ElapsedSeconds() < serve_seconds)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
+  const double served_s =
+      ServeUntilStopped(DoubleFlag(flags, "serve-seconds", 0.0));
   server.Stop();  // Drains the queue and fsyncs the WAL.
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
 
   const stream::IngestServer::Stats stats = server.stats();
   std::printf(
       "ingest done in %.1f s: received=%lld acked=%lld deduped=%lld "
       "shed=%lld rejected=%lld recovered=%lld trips=%lld\n",
-      serve_time.ElapsedSeconds(), static_cast<long long>(stats.received),
+      served_s, static_cast<long long>(stats.received),
       static_cast<long long>(stats.acked),
       static_cast<long long>(stats.deduped),
       static_cast<long long>(stats.shed),
@@ -836,7 +677,7 @@ int CmdStream(const std::map<std::string, std::string>& flags) {
   apps::TelemetryServer telemetry;
   if (auto it = flags.find("telemetry-port"); it != flags.end()) {
     apps::TelemetryServer::Options options;
-    options.port = it->second == "true" ? 0 : std::stoi(it->second);
+    options.port = it->second == "true" ? 0 : IntFlag(flags, it->first, 0);
     std::string error;
     if (!telemetry.Start(options, &error)) {
       std::fprintf(stderr, "error: cannot start telemetry server: %s\n",
@@ -844,7 +685,7 @@ int CmdStream(const std::map<std::string, std::string>& flags) {
       return 1;
     }
     std::printf("telemetry: http://127.0.0.1:%d (/metrics /healthz /varz "
-                "/tracez)\n",
+                "/tracez /profilez)\n",
                 telemetry.port());
     std::fflush(stdout);
   }
@@ -1030,28 +871,26 @@ int main(int argc, char** argv) {
     obs::TraceLog::Global().Start(/*sample_rate=*/1.0);
   }
   const auto profile_out = flags.find("profile-out");
-  if (profile_out != flags.end() && profile_out->second != "true") {
-    obs::prof::RegisterCurrentThread("main");
-    obs::prof::CpuProfiler::Options profile_options;
-    if (auto hz = flags.find("profile-hz"); hz != flags.end()) {
-      profile_options.hz = std::stoi(hz->second);
-    }
-    std::string error;
-    if (!obs::prof::CpuProfiler::Global().Start(profile_options, &error)) {
-      std::fprintf(stderr, "error: cannot start profiler: %s\n",
-                   error.c_str());
-      return 1;
-    }
-  }
-
-  // Which nn/ kernel path this process dispatched to (DESIGN.md §12) —
-  // first thing in every structured log, so a perf report from the field
-  // states whether it ran vectorized.
-  obs::LogLine(obs::LogSeverity::kInfo, "startup.kernel_path")
-      .Str("path", nn::kernel::PathName());
-
   int status = 2;
   try {
+    if (profile_out != flags.end() && profile_out->second != "true") {
+      obs::prof::RegisterCurrentThread("main");
+      obs::prof::CpuProfiler::Options profile_options;
+      profile_options.hz = IntFlag(flags, "profile-hz", profile_options.hz);
+      std::string error;
+      if (!obs::prof::CpuProfiler::Global().Start(profile_options, &error)) {
+        std::fprintf(stderr, "error: cannot start profiler: %s\n",
+                     error.c_str());
+        return 1;
+      }
+    }
+
+    // Which nn/ kernel path this process dispatched to (DESIGN.md §12) —
+    // first thing in every structured log, so a perf report from the field
+    // states whether it ran vectorized.
+    obs::LogLine(obs::LogSeverity::kInfo, "startup.kernel_path")
+        .Str("path", nn::kernel::PathName());
+
     if (command == "generate") {
       status = CmdGenerate(flags);
     } else if (command == "stats") {
@@ -1069,10 +908,11 @@ int main(int argc, char** argv) {
     } else {
       return Usage();
     }
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
-    // Malformed flag values (e.g. a non-numeric --epochs) surface here as
-    // std::invalid_argument from std::stoi; report and exit cleanly.
-    std::fprintf(stderr, "error: %s (check flag values)\n", e.what());
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
 

@@ -38,13 +38,16 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "apps/http_conn.h"
+#include "common/string_util.h"
 #include "stream/ingest_server.h"
 
 namespace {
 
+using dlinf::ParseNumber;
 using dlinf::apps::HttpClient;
 using dlinf::apps::HttpGetOnce;
 
@@ -79,26 +82,39 @@ bool ParseArgs(int argc, char** argv, Options* options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    // Strict: the whole value must parse, so "--port 19x80" is an error
+    // rather than port 19.
+    auto number = [&](auto* out) {
+      if (ParseNumber(argv[++i], out)) return true;
+      std::fprintf(stderr, "error: %s wants %s, got '%s'\n", arg.c_str(),
+                   std::is_integral_v<std::remove_pointer_t<decltype(out)>>
+                       ? "an integer"
+                       : "a number",
+                   argv[i]);
+      return false;
+    };
+    bool ok = true;
     if (arg == "--port" && has_value) {
-      options->port = std::atoi(argv[++i]);
+      ok = number(&options->port);
     } else if (arg == "--threads" && has_value) {
-      options->threads = std::atoi(argv[++i]);
+      ok = number(&options->threads);
     } else if (arg == "--seconds" && has_value) {
-      options->seconds = std::strtod(argv[++i], nullptr);
+      ok = number(&options->seconds);
     } else if (arg == "--pipeline" && has_value) {
-      options->pipeline = std::atoi(argv[++i]);
+      ok = number(&options->pipeline);
     } else if (arg == "--batch" && has_value) {
-      options->batch = std::atoi(argv[++i]);
+      ok = number(&options->batch);
     } else if (arg == "--max-requests" && has_value) {
-      options->max_requests = std::atoll(argv[++i]);
+      ok = number(&options->max_requests);
     } else if (arg == "--ingest") {
       options->ingest = true;
     } else if (arg == "--dup-every" && has_value) {
-      options->dup_every = std::atoi(argv[++i]);
+      ok = number(&options->dup_every);
     } else {
       std::fprintf(stderr, "unknown or valueless argument: %s\n", arg.c_str());
       return false;
     }
+    if (!ok) return false;
   }
   if (options->port <= 0 || options->threads < 1 || options->pipeline < 1) {
     std::fprintf(stderr,
