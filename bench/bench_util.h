@@ -14,6 +14,7 @@
 #include "common/flat_json.h"
 #include "common/stopwatch.h"
 #include "dlinfma/inferrer.h"
+#include "io/file.h"
 #include "obs/metrics.h"
 #include "sim/generator.h"
 
@@ -49,10 +50,12 @@ inline std::string ParseMetricsFlag(int* argc, char** argv) {
 /// Dumps the global registry snapshot to `path` (no-op when empty).
 inline void DumpMetrics(const std::string& path) {
   if (path.empty()) return;
-  if (obs::MetricsRegistry::Global().DumpJson(path)) {
+  std::string error;
+  if (io::WriteFileAtomic(path, obs::MetricsRegistry::Global().SnapshotJson(),
+                          &error)) {
     std::printf("metrics snapshot -> %s\n", path.c_str());
   } else {
-    std::fprintf(stderr, "error: cannot write metrics to %s\n", path.c_str());
+    std::fprintf(stderr, "error: %s\n", error.c_str());
   }
 }
 

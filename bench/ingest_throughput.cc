@@ -28,6 +28,7 @@
 #include "apps/http_conn.h"
 #include "bench_util.h"
 #include "common/check.h"
+#include "common/string_util.h"
 #include "stream/ingest_server.h"
 
 namespace {
@@ -132,18 +133,20 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    bool ok = true;
     if (arg == "--threads" && has_value) {
-      threads = std::atoi(argv[++i]);
+      ok = dlinf::ParseNumberFlag(arg, argv[++i], &threads);
     } else if (arg == "--pipeline" && has_value) {
-      pipeline = std::atoi(argv[++i]);
+      ok = dlinf::ParseNumberFlag(arg, argv[++i], &pipeline);
     } else if (arg == "--seconds" && has_value) {
-      seconds = std::strtod(argv[++i], nullptr);
+      ok = dlinf::ParseNumberFlag(arg, argv[++i], &seconds);
     } else if (arg == "--fsync-every" && has_value) {
-      fsync_every = std::atoll(argv[++i]);
+      ok = dlinf::ParseNumberFlag(arg, argv[++i], &fsync_every);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return 2;
     }
+    if (!ok) return 2;
   }
 
   const std::string wal_dir =

@@ -28,6 +28,7 @@
 #include "apps/query_engine.h"
 #include "bench_util.h"
 #include "common/check.h"
+#include "common/string_util.h"
 #include "dlinfma/dlinfma_method.h"
 #include "io/bundle.h"
 
@@ -108,18 +109,20 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    bool ok = true;
     if (arg == "--shards" && has_value) {
-      shards = std::atoi(argv[++i]);
+      ok = dlinf::ParseNumberFlag(arg, argv[++i], &shards);
     } else if (arg == "--threads" && has_value) {
-      threads = std::atoi(argv[++i]);
+      ok = dlinf::ParseNumberFlag(arg, argv[++i], &threads);
     } else if (arg == "--pipeline" && has_value) {
-      pipeline = std::atoi(argv[++i]);
+      ok = dlinf::ParseNumberFlag(arg, argv[++i], &pipeline);
     } else if (arg == "--seconds" && has_value) {
-      seconds = std::strtod(argv[++i], nullptr);
+      ok = dlinf::ParseNumberFlag(arg, argv[++i], &seconds);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return 2;
     }
+    if (!ok) return 2;
   }
 
   // Fixed-seed warm bundle (same scale the engine tests use).

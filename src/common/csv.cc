@@ -1,8 +1,9 @@
 #include "common/csv.h"
 
-#include <fstream>
+#include <algorithm>
 
 #include "common/string_util.h"
+#include "io/file.h"
 
 namespace dlinf {
 
@@ -14,12 +15,14 @@ int CsvTable::ColumnIndex(const std::string& name) const {
 }
 
 std::optional<CsvTable> ReadCsv(const std::string& path, char sep) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
+  std::string text;
+  if (!io::ReadFile(path, &text)) return std::nullopt;
   CsvTable table;
-  std::string line;
   bool first = true;
-  while (std::getline(in, line)) {
+  for (size_t start = 0; start < text.size();) {
+    const size_t end = std::min(text.find('\n', start), text.size());
+    std::string line = text.substr(start, end - start);
+    start = end + 1;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     std::vector<std::string> fields = Split(line, sep);
@@ -36,15 +39,13 @@ std::optional<CsvTable> ReadCsv(const std::string& path, char sep) {
 }
 
 bool WriteCsv(const std::string& path, const CsvTable& table, char sep) {
-  std::ofstream out(path);
-  if (!out) return false;
   const std::string sep_str(1, sep);
-  out << Join(table.header, sep_str) << "\n";
+  std::string text = Join(table.header, sep_str) + "\n";
   for (const auto& row : table.rows) {
     if (row.size() != table.header.size()) return false;
-    out << Join(row, sep_str) << "\n";
+    text += Join(row, sep_str) + "\n";
   }
-  return static_cast<bool>(out);
+  return io::WriteFileAtomic(path, text);
 }
 
 }  // namespace dlinf

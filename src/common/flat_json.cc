@@ -3,11 +3,10 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "common/check.h"
 #include "common/string_util.h"
+#include "io/file.h"
 
 namespace dlinf {
 
@@ -110,19 +109,14 @@ std::optional<std::map<std::string, double>> FlatJsonParse(
 
 std::optional<std::map<std::string, double>> FlatJsonLoad(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return FlatJsonParse(buffer.str());
+  std::string text;
+  if (!io::ReadFile(path, &text)) return std::nullopt;
+  return FlatJsonParse(text);
 }
 
 bool FlatJsonSave(const std::string& path,
                   const std::map<std::string, double>& values) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << FlatJsonSerialize(values);
-  return static_cast<bool>(out.flush());
+  return io::WriteFileAtomic(path, FlatJsonSerialize(values));
 }
 
 }  // namespace dlinf

@@ -2,9 +2,11 @@
 #define DLINF_COMMON_STRING_UTIL_H_
 
 #include <charconv>
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace dlinf {
@@ -28,6 +30,17 @@ bool ParseNumber(std::string_view text, T* out) {
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
   return ec == std::errc() && ptr == end;
+}
+
+/// ParseNumber for the value of command-line flag `flag`; on failure prints
+/// "error: <flag> wants an integer|a number, got '<text>'" to stderr.
+template <typename T>
+bool ParseNumberFlag(const std::string& flag, const std::string& text,
+                     T* out) {
+  if (ParseNumber(text, out)) return true;
+  std::fprintf(stderr, "error: %s wants %s, got '%s'\n", flag.c_str(),
+               std::is_integral_v<T> ? "an integer" : "a number", text.c_str());
+  return false;
 }
 
 /// printf-style formatting into a std::string (gcc 12 lacks std::format).

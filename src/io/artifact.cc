@@ -1,13 +1,13 @@
 #include "io/artifact.h"
 
+#include <algorithm>
 #include <array>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "common/check.h"
 #include "common/string_util.h"
 #include "fault/fault.h"
+#include "io/file.h"
 
 namespace dlinf {
 namespace io {
@@ -42,7 +42,7 @@ struct Header {
   uint64_t payload_size = 0;
 };
 
-constexpr size_t kHeaderSize = 4 + 4 + 4 + 8;
+constexpr size_t kCrcSize = 4;
 
 }  // namespace
 
@@ -84,10 +84,15 @@ uint32_t Crc32(const void* data, size_t size) {
 
 ArtifactWriter::ArtifactWriter(ArtifactKind kind) : kind_(kind) {
   CHECK(HostIsLittleEndian()) << "artifact format requires little-endian host";
+  // Grown from empty rather than constructed at exactly 20 bytes: doubling
+  // from 15 puts multi-MiB payloads on capacities glibc maps and unmaps,
+  // where the 20 * 2^k sequence left ~7 MiB of freed ingest snapshots
+  // resident in its arenas.
+  file_.resize(kArtifactHeaderSize);
 }
 
 void ArtifactWriter::WriteBytes(const void* data, size_t size) {
-  payload_.append(static_cast<const char*>(data), size);
+  file_.append(static_cast<const char*>(data), size);
 }
 
 void ArtifactWriter::WriteU32(uint32_t v) { WriteBytes(&v, sizeof(v)); }
@@ -121,35 +126,26 @@ void ArtifactWriter::WriteI64s(const std::vector<int64_t>& v) {
   WriteBytes(v.data(), v.size() * sizeof(int64_t));
 }
 
-bool ArtifactWriter::Finish(const std::string& path) {
+bool ArtifactWriter::Finish(const std::string& path, std::string* error) {
   CHECK(!finished_) << "ArtifactWriter::Finish called twice";
   finished_ = true;
   // Injected write failure: the disk filled up / the volume went away.
-  if (fault::Hit("io.artifact.write_fail")) return false;
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    const Header header{kArtifactMagic, kArtifactVersion,
-                        static_cast<uint32_t>(kind_), payload_.size()};
-    out.write(reinterpret_cast<const char*>(&header.magic), 4);
-    out.write(reinterpret_cast<const char*>(&header.version), 4);
-    out.write(reinterpret_cast<const char*>(&header.kind), 4);
-    out.write(reinterpret_cast<const char*>(&header.payload_size), 8);
-    out.write(payload_.data(), static_cast<std::streamsize>(payload_.size()));
-    const uint32_t crc = Crc32(payload_.data(), payload_.size());
-    out.write(reinterpret_cast<const char*>(&crc), 4);
-    if (!out) {
-      out.close();
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+  if (fault::Hit("io.artifact.write_fail")) {
+    if (error != nullptr) *error = "injected write failure for " + path;
     return false;
   }
-  return true;
+  // The header slot at the front is filled in place, so the file goes to
+  // disk from this one buffer without copying the payload.
+  const Header header{kArtifactMagic, kArtifactVersion,
+                      static_cast<uint32_t>(kind_), payload_size()};
+  const uint32_t crc =
+      Crc32(file_.data() + kArtifactHeaderSize, payload_size());
+  std::memcpy(&file_[0], &header.magic, 4);
+  std::memcpy(&file_[4], &header.version, 4);
+  std::memcpy(&file_[8], &header.kind, 4);
+  std::memcpy(&file_[12], &header.payload_size, 8);
+  WriteU32(crc);
+  return WriteFileAtomic(path, file_, error);
 }
 
 std::optional<ArtifactReader> ArtifactReader::Open(const std::string& path,
@@ -161,15 +157,18 @@ std::optional<ArtifactReader> ArtifactReader::Open(const std::string& path,
   };
   if (!HostIsLittleEndian()) return fail("big-endian host unsupported");
 
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return fail("cannot open " + path);
-
+  ArtifactReader reader;
+  std::string read_error;
+  if (!ReadFile(path, &reader.file_, &read_error)) return fail(read_error);
+  const std::string& file = reader.file_;
+  if (file.size() < kArtifactHeaderSize + kCrcSize) {
+    return fail("truncated envelope in " + path);
+  }
   Header header;
-  in.read(reinterpret_cast<char*>(&header.magic), 4);
-  in.read(reinterpret_cast<char*>(&header.version), 4);
-  in.read(reinterpret_cast<char*>(&header.kind), 4);
-  in.read(reinterpret_cast<char*>(&header.payload_size), 8);
-  if (!in || in.gcount() != 8) return fail("truncated header in " + path);
+  std::memcpy(&header.magic, &file[0], 4);
+  std::memcpy(&header.version, &file[4], 4);
+  std::memcpy(&header.kind, &file[8], 4);
+  std::memcpy(&header.payload_size, &file[12], 8);
   if (header.magic != kArtifactMagic) {
     return fail("bad magic in " + path + " (not a DLInfMA artifact)");
   }
@@ -190,35 +189,35 @@ std::optional<ArtifactReader> ArtifactReader::Open(const std::string& path,
         ArtifactKindName(expected)));
   }
 
-  ArtifactReader reader;
-  reader.payload_.resize(header.payload_size);
-  in.read(reader.payload_.data(),
-          static_cast<std::streamsize>(header.payload_size));
-  std::streamsize got = in.gcount();
+  // The CRC does not cover the size field: a corrupt one must be caught by
+  // the file's real size, before it sizes or indexes anything.
+  size_t payload_bytes = file.size() - kArtifactHeaderSize - kCrcSize;
   // Injected short read: `param` bytes (default 1) never arrive, as if the
   // file were truncated mid-payload or the read was interrupted.
   if (const auto fire = fault::Hit("io.artifact.short_read")) {
-    const auto drop = static_cast<std::streamsize>(
-        fire->param == 0 ? 1 : fire->param);
-    got -= std::min(got, drop);
-    in.setstate(std::ios::failbit);
+    payload_bytes -= std::min<size_t>(payload_bytes,
+                                      fire->param == 0 ? 1 : fire->param);
   }
-  if (!in || got != static_cast<std::streamsize>(header.payload_size)) {
-    return fail("truncated payload in " + path);
+  if (header.payload_size != payload_bytes) {
+    return fail(StrPrintf(
+        "truncated payload or corrupt size in %s: header says %llu bytes, "
+        "file holds %zu",
+        path.c_str(), static_cast<unsigned long long>(header.payload_size),
+        payload_bytes));
   }
+  reader.end_ = kArtifactHeaderSize + header.payload_size;
   // Injected bit flip: one payload byte is corrupted in flight (bad sector,
   // bad RAM). The CRC check below must catch it.
   if (const auto fire = fault::Hit("io.artifact.bit_flip")) {
-    if (!reader.payload_.empty()) {
-      reader.payload_[fire->param % reader.payload_.size()] ^=
+    if (header.payload_size > 0) {
+      reader.file_[kArtifactHeaderSize + fire->param % header.payload_size] ^=
           static_cast<char>(0x40);
     }
   }
   uint32_t stored_crc = 0;
-  in.read(reinterpret_cast<char*>(&stored_crc), 4);
-  if (!in || in.gcount() != 4) return fail("missing checksum in " + path);
+  std::memcpy(&stored_crc, &file[reader.end_], kCrcSize);
   const uint32_t computed =
-      Crc32(reader.payload_.data(), reader.payload_.size());
+      Crc32(file.data() + kArtifactHeaderSize, header.payload_size);
   if (stored_crc != computed) {
     return fail(StrPrintf("bad checksum in %s (stored %08x, computed %08x)",
                           path.c_str(), stored_crc, computed));
@@ -229,12 +228,12 @@ std::optional<ArtifactReader> ArtifactReader::Open(const std::string& path,
 bool ArtifactReader::Take(void* out, size_t size) {
   // size == 0 happens for empty vectors, where `out` may be a null
   // vector::data(); memset/memcpy forbid null even for zero bytes.
-  if (!ok_ || payload_.size() - offset_ < size) {
+  if (!ok_ || end_ - offset_ < size) {
     ok_ = false;
     if (size > 0) std::memset(out, 0, size);
     return false;
   }
-  if (size > 0) std::memcpy(out, payload_.data() + offset_, size);
+  if (size > 0) std::memcpy(out, file_.data() + offset_, size);
   offset_ += size;
   return true;
 }

@@ -22,8 +22,9 @@
 ///   20      n     payload (typed fields, little-endian, packed)
 ///   20+n    4     CRC-32 (IEEE 802.3) of the payload bytes
 ///
-/// Writers buffer the payload in memory and emit header + payload + CRC in
-/// Finish(); readers validate magic, version, kind, size, and CRC before a
+/// Writers buffer the payload in memory and write the file in Finish()
+/// through io::WriteFileAtomic (file.h); readers validate magic, version,
+/// kind, size (against the file's real size), and CRC before a
 /// single payload byte is handed out, so corrupted / truncated / mismatched
 /// files fail with a clean error instead of feeding garbage downstream.
 /// Multi-byte values assume a little-endian host (checked at runtime).
@@ -44,6 +45,9 @@ inline constexpr uint32_t kArtifactMagic = 0x42414c44u;
 /// readers reject files written with a different version (versioning policy
 /// in DESIGN.md §7: no silent cross-version reads, conversion is explicit).
 inline constexpr uint32_t kArtifactVersion = 1;
+
+/// Bytes before the payload: magic, version, kind and payload size.
+inline constexpr size_t kArtifactHeaderSize = 20;
 
 /// What an artifact file contains. The kind is part of the envelope so that
 /// passing, say, a stay-point file where a model is expected fails fast.
@@ -96,16 +100,17 @@ class ArtifactWriter {
   void WriteBytes(const void* data, size_t size);
 
   ArtifactKind kind() const { return kind_; }
-  size_t payload_size() const { return payload_.size(); }
+  size_t payload_size() const { return file_.size() - kArtifactHeaderSize; }
 
-  /// Writes header + payload + CRC to `path` (atomically via rename from a
-  /// sibling temp file, so readers never observe a half-written artifact).
-  /// Returns false on any I/O failure. The writer may be finished only once.
-  bool Finish(const std::string& path);
+  /// Writes header + payload + CRC to `path` with io::WriteFileAtomic
+  /// (atomic and durable). Returns false on any I/O failure, with the reason
+  /// in `*error`. The writer may be finished only once.
+  bool Finish(const std::string& path, std::string* error = nullptr);
 
  private:
   ArtifactKind kind_;
-  std::string payload_;
+  /// The whole file: a header slot filled in by Finish(), then the payload.
+  std::string file_;
   bool finished_ = false;
 };
 
@@ -144,7 +149,7 @@ class ArtifactReader {
   void Fail() { ok_ = false; }
 
   /// Payload bytes not yet consumed.
-  size_t remaining() const { return payload_.size() - offset_; }
+  size_t remaining() const { return end_ - offset_; }
   /// True when the payload was consumed exactly and nothing failed.
   bool AtEnd() const { return ok_ && remaining() == 0; }
 
@@ -155,8 +160,10 @@ class ArtifactReader {
   /// remaining payload; returns 0 (and fails) on overflow.
   size_t TakeCount(size_t elem_size);
 
-  std::string payload_;
-  size_t offset_ = 0;
+  /// The whole file; the payload is [kArtifactHeaderSize, end_).
+  std::string file_;
+  size_t offset_ = kArtifactHeaderSize;
+  size_t end_ = kArtifactHeaderSize;
   bool ok_ = true;
 };
 

@@ -2,7 +2,8 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
+
+#include "io/file.h"
 
 namespace dlinf {
 namespace nn {
@@ -77,20 +78,13 @@ bool DecodeParameters(std::string_view blob,
 
 bool SaveParameters(const std::string& path,
                     const std::vector<Tensor>& parameters) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  const std::string blob = EncodeParameters(parameters);
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  return static_cast<bool>(out);
+  return io::WriteFileAtomic(path, EncodeParameters(parameters));
 }
 
 bool LoadParameters(const std::string& path, std::vector<Tensor>* parameters) {
   CHECK(parameters != nullptr);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string blob((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return DecodeParameters(blob, parameters);
+  std::string blob;
+  return io::ReadFile(path, &blob) && DecodeParameters(blob, parameters);
 }
 
 }  // namespace nn

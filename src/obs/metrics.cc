@@ -350,15 +350,6 @@ std::string MetricsRegistry::SnapshotPrometheus() const {
   return out;
 }
 
-bool MetricsRegistry::DumpJson(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const std::string json = SnapshotJson();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), file) ==
-                  json.size();
-  return std::fclose(file) == 0 && ok;
-}
-
 void MetricsRegistry::ResetForTest() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();

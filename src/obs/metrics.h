@@ -175,9 +175,6 @@ class MetricsRegistry {
   /// not use the convention (their `le` label is reserved).
   std::string SnapshotPrometheus() const;
 
-  /// Writes SnapshotJson() to `path`; false on I/O failure.
-  bool DumpJson(const std::string& path) const;
-
   /// Zeroes every registered metric and clears span stats without
   /// invalidating pointers handed out by the getters (tests only).
   void ResetForTest();

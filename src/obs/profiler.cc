@@ -448,15 +448,6 @@ std::string CpuProfiler::ExportFolded() const {
   return out;
 }
 
-bool CpuProfiler::ExportFolded(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const std::string folded = ExportFolded();
-  const bool ok =
-      std::fwrite(folded.data(), 1, folded.size(), file) == folded.size();
-  return std::fclose(file) == 0 && ok;
-}
-
 void CpuProfiler::AppendChromeEvents(std::string* out, bool* first,
                                      double origin_seconds) const {
   std::lock_guard<std::mutex> lock(ControlMutex());

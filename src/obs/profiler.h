@@ -109,9 +109,6 @@ class CpuProfiler {
   /// Standalone Chrome trace JSON of the samples only.
   std::string ExportChromeJson() const;
 
-  /// Writes ExportFolded() to `path`; false on I/O failure.
-  bool ExportFolded(const std::string& path) const;
-
   /// Appends the samples as Chrome trace event objects (no envelope) with
   /// timestamps relative to `origin_seconds` — used by
   /// ExportCombinedChromeJson to merge onto the TraceLog span timeline.

@@ -9,6 +9,8 @@
 #include <mutex>
 #include <vector>
 
+#include "io/file.h"
+
 namespace dlinf {
 namespace obs {
 
@@ -301,12 +303,7 @@ std::string TraceLog::ExportChromeJson() const {
 }
 
 bool TraceLog::ExportChromeJson(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const std::string json = ExportChromeJson();
-  const bool ok =
-      std::fwrite(json.data(), 1, json.size(), file) == json.size();
-  return std::fclose(file) == 0 && ok;
+  return io::WriteFileAtomic(path, ExportChromeJson());
 }
 
 int64_t TraceLog::recorded_events() const {

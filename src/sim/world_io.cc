@@ -14,18 +14,6 @@ std::string I(int64_t v) {
   return StrPrintf("%lld", static_cast<long long>(v));
 }
 
-bool ParseDouble(const std::string& s, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0' && !s.empty();
-}
-
-bool ParseInt(const std::string& s, int64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoll(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !s.empty();
-}
-
 }  // namespace
 
 bool SaveWorldCsv(const World& world, const std::string& directory) {
@@ -136,8 +124,10 @@ std::optional<World> LoadWorldCsv(const std::string& directory) {
   if (!meta || meta->rows.size() != 1) return std::nullopt;
   world.name = meta->rows[0][0];
   double x, y;
-  if (!ParseDouble(meta->rows[0][1], &x) || !ParseDouble(meta->rows[0][2], &y))
+  if (!ParseNumber(meta->rows[0][1], &x) ||
+      !ParseNumber(meta->rows[0][2], &y)) {
     return std::nullopt;
+  }
   world.station = Point{x, y};
 
   const auto communities = ReadCsv(path("communities.csv"));
@@ -145,10 +135,11 @@ std::optional<World> LoadWorldCsv(const std::string& directory) {
   for (const auto& row : communities->rows) {
     Community c;
     int64_t split;
-    if (!ParseInt(row[0], &c.id) || !ParseDouble(row[1], &c.center.x) ||
-        !ParseDouble(row[2], &c.center.y) || !ParseDouble(row[3], &c.gate.x) ||
-        !ParseDouble(row[4], &c.gate.y) || !ParseDouble(row[5], &c.locker.x) ||
-        !ParseDouble(row[6], &c.locker.y) || !ParseInt(row[7], &split)) {
+    if (!ParseNumber(row[0], &c.id) || !ParseNumber(row[1], &c.center.x) ||
+        !ParseNumber(row[2], &c.center.y) ||
+        !ParseNumber(row[3], &c.gate.x) || !ParseNumber(row[4], &c.gate.y) ||
+        !ParseNumber(row[5], &c.locker.x) ||
+        !ParseNumber(row[6], &c.locker.y) || !ParseNumber(row[7], &split)) {
       return std::nullopt;
     }
     c.split = static_cast<Split>(split);
@@ -159,11 +150,12 @@ std::optional<World> LoadWorldCsv(const std::string& directory) {
   if (!buildings) return std::nullopt;
   for (const auto& row : buildings->rows) {
     Building b;
-    if (!ParseInt(row[0], &b.id) || !ParseInt(row[1], &b.community_id) ||
-        !ParseDouble(row[2], &b.position.x) ||
-        !ParseDouble(row[3], &b.position.y) ||
-        !ParseDouble(row[4], &b.reception.x) ||
-        !ParseDouble(row[5], &b.reception.y)) {
+    if (!ParseNumber(row[0], &b.id) ||
+        !ParseNumber(row[1], &b.community_id) ||
+        !ParseNumber(row[2], &b.position.x) ||
+        !ParseNumber(row[3], &b.position.y) ||
+        !ParseNumber(row[4], &b.reception.x) ||
+        !ParseNumber(row[5], &b.reception.y)) {
       return std::nullopt;
     }
     world.buildings.push_back(b);
@@ -174,15 +166,16 @@ std::optional<World> LoadWorldCsv(const std::string& directory) {
   for (const auto& row : addresses->rows) {
     Address a;
     int64_t mode, poi, split;
-    if (!ParseInt(row[0], &a.id) || !ParseInt(row[1], &a.building_id) ||
-        !ParseInt(row[2], &a.community_id) ||
-        !ParseDouble(row[3], &a.true_delivery_location.x) ||
-        !ParseDouble(row[4], &a.true_delivery_location.y) ||
-        !ParseInt(row[5], &mode) ||
-        !ParseDouble(row[6], &a.geocoded_location.x) ||
-        !ParseDouble(row[7], &a.geocoded_location.y) ||
-        !ParseInt(row[8], &poi) || !ParseDouble(row[9], &a.order_rate) ||
-        !ParseInt(row[10], &split)) {
+    if (!ParseNumber(row[0], &a.id) ||
+        !ParseNumber(row[1], &a.building_id) ||
+        !ParseNumber(row[2], &a.community_id) ||
+        !ParseNumber(row[3], &a.true_delivery_location.x) ||
+        !ParseNumber(row[4], &a.true_delivery_location.y) ||
+        !ParseNumber(row[5], &mode) ||
+        !ParseNumber(row[6], &a.geocoded_location.x) ||
+        !ParseNumber(row[7], &a.geocoded_location.y) ||
+        !ParseNumber(row[8], &poi) || !ParseNumber(row[9], &a.order_rate) ||
+        !ParseNumber(row[10], &split)) {
       return std::nullopt;
     }
     a.mode = static_cast<DeliveryMode>(mode);
@@ -196,11 +189,11 @@ std::optional<World> LoadWorldCsv(const std::string& directory) {
   if (!couriers) return std::nullopt;
   for (const auto& row : couriers->rows) {
     Courier c;
-    if (!ParseInt(row[0], &c.id)) return std::nullopt;
+    if (!ParseNumber(row[0], &c.id)) return std::nullopt;
     for (const std::string& piece : ::dlinf::Split(row[1], ';')) {
       if (piece.empty()) continue;
       int64_t id;
-      if (!ParseInt(piece, &id)) return std::nullopt;
+      if (!ParseNumber(piece, &id)) return std::nullopt;
       c.zone_community_ids.push_back(id);
     }
     world.couriers.push_back(std::move(c));
@@ -213,9 +206,10 @@ std::optional<World> LoadWorldCsv(const std::string& directory) {
   if (!trips || !waybills || !gps || !stays) return std::nullopt;
   for (const auto& row : trips->rows) {
     DeliveryTrip trip;
-    if (!ParseInt(row[0], &trip.id) || !ParseInt(row[1], &trip.courier_id) ||
-        !ParseDouble(row[2], &trip.start_time) ||
-        !ParseDouble(row[3], &trip.end_time)) {
+    if (!ParseNumber(row[0], &trip.id) ||
+        !ParseNumber(row[1], &trip.courier_id) ||
+        !ParseNumber(row[2], &trip.start_time) ||
+        !ParseNumber(row[3], &trip.end_time)) {
       return std::nullopt;
     }
     trip.trajectory.courier_id = trip.courier_id;
@@ -224,7 +218,7 @@ std::optional<World> LoadWorldCsv(const std::string& directory) {
   auto trip_at = [&](const std::string& field,
                      DeliveryTrip** out) -> bool {
     int64_t id;
-    if (!ParseInt(field, &id) || id < 0 ||
+    if (!ParseNumber(field, &id) || id < 0 ||
         id >= static_cast<int64_t>(world.trips.size())) {
       return false;
     }
@@ -235,10 +229,10 @@ std::optional<World> LoadWorldCsv(const std::string& directory) {
     DeliveryTrip* trip;
     if (!trip_at(row[0], &trip)) return std::nullopt;
     Waybill w;
-    if (!ParseInt(row[1], &w.id) || !ParseInt(row[2], &w.address_id) ||
-        !ParseDouble(row[3], &w.receive_time) ||
-        !ParseDouble(row[4], &w.recorded_delivery_time) ||
-        !ParseDouble(row[5], &w.actual_delivery_time)) {
+    if (!ParseNumber(row[1], &w.id) || !ParseNumber(row[2], &w.address_id) ||
+        !ParseNumber(row[3], &w.receive_time) ||
+        !ParseNumber(row[4], &w.recorded_delivery_time) ||
+        !ParseNumber(row[5], &w.actual_delivery_time)) {
       return std::nullopt;
     }
     trip->waybills.push_back(w);
@@ -247,8 +241,8 @@ std::optional<World> LoadWorldCsv(const std::string& directory) {
     DeliveryTrip* trip;
     if (!trip_at(row[0], &trip)) return std::nullopt;
     TrajPoint p;
-    if (!ParseDouble(row[1], &p.x) || !ParseDouble(row[2], &p.y) ||
-        !ParseDouble(row[3], &p.t)) {
+    if (!ParseNumber(row[1], &p.x) || !ParseNumber(row[2], &p.y) ||
+        !ParseNumber(row[3], &p.t)) {
       return std::nullopt;
     }
     trip->trajectory.points.push_back(p);
@@ -257,16 +251,16 @@ std::optional<World> LoadWorldCsv(const std::string& directory) {
     DeliveryTrip* trip;
     if (!trip_at(row[0], &trip)) return std::nullopt;
     PlannedStay stay;
-    if (!ParseDouble(row[1], &stay.location.x) ||
-        !ParseDouble(row[2], &stay.location.y) ||
-        !ParseDouble(row[3], &stay.start_time) ||
-        !ParseDouble(row[4], &stay.end_time)) {
+    if (!ParseNumber(row[1], &stay.location.x) ||
+        !ParseNumber(row[2], &stay.location.y) ||
+        !ParseNumber(row[3], &stay.start_time) ||
+        !ParseNumber(row[4], &stay.end_time)) {
       return std::nullopt;
     }
     for (const std::string& piece : ::dlinf::Split(row[5], ';')) {
       if (piece.empty()) continue;
       int64_t id;
-      if (!ParseInt(piece, &id)) return std::nullopt;
+      if (!ParseNumber(piece, &id)) return std::nullopt;
       stay.delivered_address_ids.push_back(id);
     }
     trip->planned_stays.push_back(std::move(stay));

@@ -771,11 +771,7 @@ bool IngestServer::WriteSnapshot(uint64_t covered_segment,
       }
     }
   }
-  if (!writer.Finish(SnapshotPath(options_.wal.dir))) {
-    if (error != nullptr) *error = "cannot write ingest snapshot";
-    return false;
-  }
-  return true;
+  return writer.Finish(SnapshotPath(options_.wal.dir), error);
 }
 
 void IngestServer::MaybeSnapshot() {

@@ -9,6 +9,7 @@
 #include "fault/fault.h"
 #include "io/bundle.h"
 #include "io/checkpoint.h"
+#include "io/file.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "obs/structured_log.h"
@@ -65,6 +66,9 @@ bool PublishBundle(const sim::World& world, const dlinfma::Dataset& data,
     }
   }
   std::filesystem::remove_all(staging, ec);
+  // The renames are durable only once the directory holding them is.
+  std::string sync_error;
+  if (!io::SyncDir(publish_dir, &sync_error)) return fail(sync_error);
   obs::MetricsRegistry::Global().GetCounter("stream.publish.success")->Add(1);
   obs::LogLine(obs::LogSeverity::kInfo, "stream.publish")
       .Str("dir", publish_dir)

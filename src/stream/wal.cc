@@ -8,12 +8,12 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <utility>
 
 #include "common/string_util.h"
 #include "fault/fault.h"
+#include "io/file.h"
 #include "obs/metrics.h"
 
 namespace dlinf {
@@ -57,29 +57,6 @@ std::map<uint64_t, std::pair<std::string, uint64_t>> ListSegments(
   return segments;
 }
 
-bool ReadFileBytes(const std::string& path, std::string* out,
-                   std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return SetError(error, "cannot open " + path);
-  out->assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
-  if (in.bad()) return SetError(error, "read error in " + path);
-  return true;
-}
-
-bool WriteAllBytes(int fd, const char* data, size_t size) {
-  size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 bool ReplayWal(const WalOptions& options, const WalReplayFn& fn,
@@ -105,7 +82,7 @@ bool ReplayWal(const WalOptions& options, const WalReplayFn& fn,
     ++expected;
 
     std::string bytes;
-    if (!ReadFileBytes(file.first, &bytes, error)) return false;
+    if (!io::ReadFile(file.first, &bytes, error)) return false;
     ++out->segments;
     out->stop_segment = index;
     out->stop_offset = 0;
@@ -262,12 +239,20 @@ bool WalWriter::OpenSegment(uint64_t index, bool truncate_to, uint64_t size,
   if (size == 0) {
     std::string header;
     io::AppendWalSegmentHeader(index, &header);
-    if (!WriteAllBytes(fd_, header.data(), header.size())) {
+    if (!io::WriteAll(fd_, header.data(), header.size())) {
       const int err = errno;
       ::close(fd_);
       fd_ = -1;
       return SetError(error, "cannot write segment header to " + path + ": " +
                                  std::strerror(err));
+    }
+    // Records fsynced into this segment survive a power cut only if its
+    // directory entry does too.
+    if (!io::SyncDir(options_.dir, error)) {
+      CountError("fsync");
+      ::close(fd_);
+      fd_ = -1;
+      return false;
     }
     segment_size_ = header.size();
   } else if (::lseek(fd_, static_cast<off_t>(size), SEEK_SET) < 0) {
@@ -364,13 +349,13 @@ bool WalWriter::AppendFrames(const std::string& encoded, uint64_t frame_count,
     const size_t keep = fire->param > 0
                             ? std::min<size_t>(fire->param, encoded.size())
                             : encoded.size() / 2;
-    WriteAllBytes(fd_, encoded.data(), keep);
+    io::WriteAll(fd_, encoded.data(), keep);
     dead_ = true;
     CountError("torn");
     return SetError(error, "injected torn WAL write (writer dead)");
   }
 
-  if (!WriteAllBytes(fd_, encoded.data(), encoded.size())) {
+  if (!io::WriteAll(fd_, encoded.data(), encoded.size())) {
     const int err = errno;
     // Restore the whole-frames-only invariant before reporting failure.
     if (::ftruncate(fd_, static_cast<off_t>(segment_size_)) != 0 ||

@@ -9,9 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +19,7 @@
 #include "fault/fault.h"
 #include "gtest/gtest.h"
 #include "io/bundle.h"
+#include "io/file.h"
 #include "obs/metrics.h"
 #include "sim/generator.h"
 
@@ -32,20 +31,6 @@ using ::testing::TempDir;
 
 int64_t CounterValue(const std::string& name) {
   return obs::MetricsRegistry::Global().GetCounter(name)->value();
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(out) << path;
-  out << bytes;
 }
 
 /// One small trained pipeline saved as an on-disk bundle, shared by every
@@ -152,11 +137,12 @@ TEST(BundleManagerTest, PollDuringMidPushManifestGapIsUnchanged) {
   // mid-push and must be left alone.
   const std::filesystem::path manifest =
       std::filesystem::path(Fixture().dir) / "manifest.art";
-  const std::string bytes = ReadFileBytes(manifest.string());
+  std::string bytes;
+  ASSERT_TRUE(io::ReadFile(manifest.string(), &bytes));
   std::filesystem::remove(manifest);
   EXPECT_EQ(manager->Poll(), BundleManager::ReloadOutcome::kUnchanged);
   EXPECT_EQ(manager->generation(), 0u);
-  WriteFileBytes(manifest.string(), bytes);
+  ASSERT_TRUE(io::WriteFileAtomic(manifest.string(), bytes));
 }
 
 TEST(BundleManagerTest, InjectedCorruptPushRollsBack) {
@@ -185,18 +171,19 @@ TEST(BundleManagerTest, RealOnDiskCorruptionRollsBack) {
   std::unique_ptr<BundleManager> manager = MakeManager();
   ASSERT_NE(manager, nullptr);
   const std::string model_path = Fixture().dir + "/model.art";
-  const std::string valid = ReadFileBytes(model_path);
+  std::string valid;
+  ASSERT_TRUE(io::ReadFile(model_path, &valid));
   ASSERT_GT(valid.size(), 64u);
   std::string mutated = valid;
   mutated[mutated.size() / 2] ^= 0x01;
-  WriteFileBytes(model_path, mutated);
+  ASSERT_TRUE(io::WriteFileAtomic(model_path, mutated));
 
   std::string error;
   EXPECT_EQ(manager->ReloadNow(&error),
             BundleManager::ReloadOutcome::kRolledBack);
   EXPECT_FALSE(error.empty());
   EXPECT_EQ(manager->generation(), 0u);
-  WriteFileBytes(model_path, valid);
+  ASSERT_TRUE(io::WriteFileAtomic(model_path, valid));
 }
 
 TEST(BundleManagerTest, ValidationVetoRollsBackThenHealthySwapRecovers) {

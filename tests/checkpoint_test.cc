@@ -8,7 +8,6 @@
 #include <cstring>
 #include <filesystem>
 #include <unistd.h>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <random>
@@ -23,6 +22,7 @@
 #include "gtest/gtest.h"
 #include "io/artifact.h"
 #include "io/checkpoint.h"
+#include "io/file.h"
 #include "sim/generator.h"
 
 namespace dlinf {
@@ -41,20 +41,6 @@ std::string CkptPath(const std::string& name) {
     return d;
   }();
   return dir + "/" + name;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(out) << path;
-  out << bytes;
 }
 
 /// A representative checkpoint with every field populated and nontrivial.
@@ -137,7 +123,10 @@ TEST(CheckpointCodecTest, SaveLoadSaveIsByteIdentical) {
       LoadCheckpointArtifact(first, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   ASSERT_TRUE(SaveCheckpointArtifact(*loaded, second));
-  EXPECT_EQ(ReadFileBytes(first), ReadFileBytes(second));
+  std::string first_bytes, second_bytes;
+  ASSERT_TRUE(ReadFile(first, &first_bytes));
+  ASSERT_TRUE(ReadFile(second, &second_bytes));
+  EXPECT_EQ(first_bytes, second_bytes);
 }
 
 TEST(CheckpointCodecTest, EmptyBestParamsRoundTrips) {
@@ -157,7 +146,8 @@ TEST(CheckpointCodecTest, EmptyBestParamsRoundTrips) {
 TEST(CheckpointCodecTest, CorruptionFailsWithTypedError) {
   const std::string valid_path = CkptPath("ckpt_valid.art");
   ASSERT_TRUE(SaveCheckpointArtifact(MakeCheckpoint(), valid_path));
-  const std::string valid = ReadFileBytes(valid_path);
+  std::string valid;
+  ASSERT_TRUE(ReadFile(valid_path, &valid));
   const std::string path = CkptPath("ckpt_corrupt.art");
 
   auto expect_load_fails = [&](const std::string& label) {
@@ -168,15 +158,16 @@ TEST(CheckpointCodecTest, CorruptionFailsWithTypedError) {
 
   std::string bytes = valid;
   bytes[0] ^= 0x5a;  // Bad magic.
-  WriteFileBytes(path, bytes);
+  ASSERT_TRUE(WriteFileAtomic(path, bytes));
   expect_load_fails("bad magic");
 
   bytes = valid;
   bytes[20 + (bytes.size() - 24) / 2] ^= 0x01;  // Payload bit rot.
-  WriteFileBytes(path, bytes);
+  ASSERT_TRUE(WriteFileAtomic(path, bytes));
   expect_load_fails("payload bit flip");
 
-  WriteFileBytes(path, valid.substr(0, valid.size() / 2));  // Truncation.
+  // Truncation.
+  ASSERT_TRUE(WriteFileAtomic(path, valid.substr(0, valid.size() / 2)));
   expect_load_fails("truncation");
 
   std::string missing_error;
@@ -229,7 +220,8 @@ TEST(CheckpointCodecTest, FailedOverwriteKeepsPreviousCheckpoint) {
   const std::string path = CkptPath("ckpt_keep_previous.art");
   const dlinfma::TrainCheckpoint original = MakeCheckpoint();
   ASSERT_TRUE(SaveCheckpointArtifact(original, path));
-  const std::string before = ReadFileBytes(path);
+  std::string before;
+  ASSERT_TRUE(ReadFile(path, &before));
 
   {
     fault::ScopedFaultPlan armed(
@@ -239,7 +231,9 @@ TEST(CheckpointCodecTest, FailedOverwriteKeepsPreviousCheckpoint) {
     newer.next_epoch = 99;
     EXPECT_FALSE(SaveCheckpointArtifact(newer, path));
   }
-  EXPECT_EQ(ReadFileBytes(path), before);
+  std::string after;
+  ASSERT_TRUE(ReadFile(path, &after));
+  EXPECT_EQ(after, before);
   std::string error;
   const std::optional<dlinfma::TrainCheckpoint> loaded =
       LoadCheckpointArtifact(path, &error);

@@ -2,15 +2,18 @@
 // serialization layer (src/io): every artifact type survives save/load
 // bit-exactly, inference is bit-identical before and after a reload, and
 // corrupted / truncated / mismatched files fail with a clean error instead
-// of crashing or feeding garbage downstream.
+// of crashing or feeding garbage downstream. The file seam under them
+// (io/file.h) fails cleanly too: a failed write leaves the old file and no
+// temp file behind.
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <unistd.h>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "io/artifact.h"
 #include "io/bundle.h"
 #include "io/codecs.h"
+#include "io/file.h"
 #include "sim/generator.h"
 
 namespace dlinf {
@@ -28,26 +32,13 @@ namespace {
 
 using ::testing::TempDir;
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(out) << path;
-  out << bytes;
-}
-
 /// Flips one byte of the file at `path`.
 void CorruptByteAt(const std::string& path, size_t offset) {
-  std::string bytes = ReadFileBytes(path);
+  std::string bytes;
+  ASSERT_TRUE(ReadFile(path, &bytes));
   ASSERT_LT(offset, bytes.size());
   bytes[offset] = static_cast<char>(bytes[offset] ^ 0x5a);
-  WriteFileBytes(path, bytes);
+  ASSERT_TRUE(WriteFileAtomic(path, bytes));
 }
 
 /// One small trained pipeline, built once: training is the expensive part
@@ -202,12 +193,13 @@ TEST(ArtifactEnvelopeTest, TruncatedFileRejected) {
   ArtifactWriter writer(ArtifactKind::kCandidates);
   writer.WriteI64s({1, 2, 3, 4, 5});
   ASSERT_TRUE(writer.Finish(path));
-  const std::string bytes = ReadFileBytes(path);
+  std::string bytes;
+  ASSERT_TRUE(ReadFile(path, &bytes));
   // Every proper prefix must be rejected cleanly, whether the cut hits the
   // header, the payload, or the trailing CRC.
   for (const size_t keep : {size_t{0}, size_t{7}, size_t{20}, size_t{30},
                             bytes.size() - 1}) {
-    WriteFileBytes(path, bytes.substr(0, keep));
+    ASSERT_TRUE(WriteFileAtomic(path, bytes.substr(0, keep)));
     std::string error;
     EXPECT_FALSE(ArtifactReader::Open(path, ArtifactKind::kCandidates, &error)
                      .has_value())
@@ -222,6 +214,31 @@ TEST(ArtifactEnvelopeTest, MissingFileReportsError) {
                                     ArtifactKind::kWorld, &error)
                    .has_value());
   EXPECT_FALSE(error.empty());
+}
+
+TEST(ArtifactEnvelopeTest, CorruptPayloadSizeRejectedBeforeAllocating) {
+  // The CRC covers only the payload, so a corrupt size field must be caught
+  // by the file's real size: not by an allocation of 64 TiB or 2^64 - 1
+  // bytes, and not by reading the CRC from the wrong offset.
+  const std::string path = TestPath("corrupt_size.art");
+  ArtifactWriter writer(ArtifactKind::kCandidates);
+  writer.WriteI64s({1, 2, 3});
+  ASSERT_TRUE(writer.Finish(path));
+  std::string valid;
+  ASSERT_TRUE(ReadFile(path, &valid));
+  uint64_t real_size = 0;
+  std::memcpy(&real_size, &valid[12], sizeof(real_size));
+  for (const uint64_t size : {uint64_t{1} << 46, ~uint64_t{0}, real_size - 1,
+                              real_size + 1}) {
+    std::string bytes = valid;
+    std::memcpy(&bytes[12], &size, sizeof(size));
+    ASSERT_TRUE(WriteFileAtomic(path, bytes));
+    std::string error;
+    EXPECT_FALSE(ArtifactReader::Open(path, ArtifactKind::kCandidates, &error)
+                     .has_value())
+        << size;
+    EXPECT_NE(error.find("payload"), std::string::npos) << error;
+  }
 }
 
 TEST(ArtifactEnvelopeTest, ReadPastEndIsStickyNotFatal) {
@@ -254,6 +271,60 @@ TEST(ArtifactEnvelopeTest, OversizedLengthPrefixRejected) {
   EXPECT_FALSE(reader->ok());
 }
 
+// --- The file seam (io/file.h) ---------------------------------------------
+
+TEST(FileSeamTest, WriteIntoMissingDirectoryFailsWithPath) {
+  const std::string path = TestPath("no_such_dir/file.txt");
+  std::string error;
+  EXPECT_FALSE(WriteFileAtomic(path, "bytes", &error));
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  EXPECT_FALSE(std::filesystem::exists(TestPath("no_such_dir")));
+}
+
+TEST(FileSeamTest, FailedWriteKeepsOldContentAndLeavesNoTemp) {
+  // A file-size limit makes write(2) stop part-way with EFBIG, as a full
+  // disk would; unlike permission bits it binds root too.
+  const std::string path = TestPath("seam_keep_old.txt");
+  ASSERT_TRUE(WriteFileAtomic(path, "old content"));
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit small = saved;
+  small.rlim_cur = 64;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
+  std::string error;
+  const bool written = WriteFileAtomic(path, std::string(4096, 'x'), &error);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_FALSE(written);
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  std::string bytes;
+  ASSERT_TRUE(ReadFile(path, &bytes));
+  EXPECT_EQ(bytes, "old content");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(FileSeamTest, UnwritableTargetIsLeftAsItWas) {
+  // A non-empty directory cannot be replaced by a file: the rename fails.
+  const std::string path = TestPath("seam_target_dir");
+  std::filesystem::create_directories(path + "/inner");
+  std::string error;
+  EXPECT_FALSE(WriteFileAtomic(path, "bytes", &error));
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  EXPECT_TRUE(std::filesystem::is_directory(path + "/inner"));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(FileSeamTest, ReadingMissingFileReportsPathAndReason) {
+  const std::string path = TestPath("seam_missing.txt");
+  std::string bytes;
+  std::string error;
+  EXPECT_FALSE(ReadFile(path, &bytes, &error));
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  EXPECT_NE(error.find("No such file"), std::string::npos) << error;
+}
+
 // --- Fault injection (fault/fault.h, DESIGN.md §8) ------------------------
 
 /// Writes a small valid manifest artifact and returns its path.
@@ -270,10 +341,11 @@ TEST(ArtifactFaultTest, ExplicitFutureVersionRejected) {
   // Not a flipped byte: a well-formed file whose version field says the
   // format is one revision newer than this reader understands.
   const std::string path = WriteValidArtifact("future_version.art");
-  std::string bytes = ReadFileBytes(path);
+  std::string bytes;
+  ASSERT_TRUE(ReadFile(path, &bytes));
   const uint32_t future = kArtifactVersion + 1;
   std::memcpy(&bytes[4], &future, sizeof(future));
-  WriteFileBytes(path, bytes);
+  ASSERT_TRUE(WriteFileAtomic(path, bytes));
 
   std::string error;
   EXPECT_FALSE(
@@ -367,7 +439,10 @@ TEST(IoCodecsTest, WorldArtifactRoundTripsByteIdentically) {
   // and nothing is lost in flight.
   const std::string resaved = TestPath("world2.art");
   ASSERT_TRUE(SaveWorldArtifact(*loaded, resaved));
-  EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(resaved));
+  std::string saved_bytes, resaved_bytes;
+  ASSERT_TRUE(ReadFile(path, &saved_bytes));
+  ASSERT_TRUE(ReadFile(resaved, &resaved_bytes));
+  EXPECT_EQ(saved_bytes, resaved_bytes);
 }
 
 TEST(IoCodecsTest, StayPointsArtifactRoundTrips) {
@@ -416,7 +491,10 @@ TEST(IoCodecsTest, CandidatesArtifactRoundTripsByteIdentically) {
 
   const std::string resaved = TestPath("candidates2.art");
   ASSERT_TRUE(SaveCandidatesArtifact(*loaded, resaved));
-  EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(resaved));
+  std::string saved_bytes, resaved_bytes;
+  ASSERT_TRUE(ReadFile(path, &saved_bytes));
+  ASSERT_TRUE(ReadFile(resaved, &resaved_bytes));
+  EXPECT_EQ(saved_bytes, resaved_bytes);
 }
 
 TEST(IoCodecsTest, SamplesArtifactRoundTripsByteIdentically) {
@@ -439,7 +517,10 @@ TEST(IoCodecsTest, SamplesArtifactRoundTripsByteIdentically) {
 
   const std::string resaved = TestPath("samples2.art");
   ASSERT_TRUE(SaveSamplesArtifact(*loaded, resaved));
-  EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(resaved));
+  std::string saved_bytes, resaved_bytes;
+  ASSERT_TRUE(ReadFile(path, &saved_bytes));
+  ASSERT_TRUE(ReadFile(resaved, &resaved_bytes));
+  EXPECT_EQ(saved_bytes, resaved_bytes);
 }
 
 // --- Model + bundle -------------------------------------------------------
@@ -472,7 +553,7 @@ TEST(IoCodecsTest, CorruptedModelArtifactFailsCleanly) {
   PipelineFixture& fixture = Fixture();
   const std::string path = TestPath("model_corrupt.art");
   ASSERT_TRUE(SaveModelArtifact(*fixture.method, path));
-  CorruptByteAt(path, ReadFileBytes(path).size() / 2);
+  CorruptByteAt(path, std::filesystem::file_size(path) / 2);
 
   std::string error;
   EXPECT_EQ(LoadModelArtifact(path, &error), nullptr);

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,6 +31,7 @@
 #include "fault/fault.h"
 #include "gtest/gtest.h"
 #include "io/bundle.h"
+#include "io/file.h"
 #include "obs/metrics.h"
 #include "sim/generator.h"
 
@@ -481,6 +483,41 @@ TEST(QueryEngineTest, PerShardRollbackDegradesHealthzThenRecovers) {
   EXPECT_FALSE(engine->AnyShardDegraded());
   ASSERT_TRUE(HttpGetOnce(engine->port(), "/healthz", &status, &body));
   EXPECT_EQ(status, 200);
+}
+
+TEST(QueryEngineTest, CorruptHeaderSizePushRollsBackAndKeepsServing) {
+  std::unique_ptr<QueryEngine> engine = MakeEngine(2);
+  ASSERT_NE(engine, nullptr);
+
+  // Push a model artifact whose payload-size field claims 64 TiB. The CRC
+  // does not cover the header, so only the size check stands between this
+  // push and an allocation failure that would take the server down.
+  const std::string model_path = Fixture().dir + "/model.art";
+  std::string valid;
+  ASSERT_TRUE(io::ReadFile(model_path, &valid));
+  std::string corrupt = valid;
+  const uint64_t huge = uint64_t{1} << 46;
+  std::memcpy(&corrupt[12], &huge, sizeof(huge));
+  ASSERT_TRUE(io::WriteFileAtomic(model_path, corrupt));
+  const QueryEngine::ReloadSummary summary = engine->ReloadShardsNow();
+  ASSERT_TRUE(io::WriteFileAtomic(model_path, valid));
+  EXPECT_EQ(summary.rolled_back, 2);
+  EXPECT_EQ(summary.swapped, 0);
+  EXPECT_TRUE(engine->AnyShardDegraded());
+
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGetOnce(engine->port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 503);
+  EXPECT_NE(body.find("\"status\":\"degraded\""), std::string::npos) << body;
+
+  // Still serving the previous generation.
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(engine->port()));
+  ASSERT_TRUE(client.SendGet("/query?address_id=3"));
+  ASSERT_TRUE(client.ReadResponse(&status, &body));
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, ExpectedBody(*engine, 3));
 }
 
 TEST(QueryEngineTest, SlowLorisCannotDelayHealthz) {

@@ -5,12 +5,12 @@
 
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "fault/fault.h"
+#include "io/file.h"
 #include "io/wal_frame.h"
 
 namespace dlinf {
@@ -39,17 +39,6 @@ std::string ScratchDir(const std::string& name) {
 
 std::string SegmentPath(const WalOptions& options, uint64_t index) {
   return options.dir + "/" + io::WalSegmentFileName(index);
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteFile(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 /// A reference segment: header + `payloads.size()` frames (type = index).
@@ -311,9 +300,10 @@ TEST(WalWriterTest, TornTailIsTruncatedOnReopenAndServingContinues) {
   {
     std::string frame;
     io::AppendWalFrame(1, "lost-to-the-crash", &frame);
-    std::ofstream out(SegmentPath(options, 0),
-                      std::ios::binary | std::ios::app);
-    out.write(frame.data(), static_cast<std::streamsize>(frame.size() / 2));
+    std::string bytes;
+    ASSERT_TRUE(io::ReadFile(SegmentPath(options, 0), &bytes));
+    bytes.append(frame, 0, frame.size() / 2);
+    ASSERT_TRUE(io::WriteFileAtomic(SegmentPath(options, 0), bytes));
   }
 
   // Replay stops at the torn frame with a typed status.
@@ -365,7 +355,8 @@ TEST(WalWriterTest, CorruptMidLogStopsReplayAtFirstBadFrame) {
   // Flip one payload bit in the middle of the segment (third frame).
   {
     const std::string path = SegmentPath(options, 0);
-    std::string bytes = ReadFile(path);
+    std::string bytes;
+    ASSERT_TRUE(io::ReadFile(path, &bytes));
     size_t offset = 0;
     uint64_t idx;
     ASSERT_EQ(DecodeWalSegmentHeader(bytes, &offset, &idx), WalStatus::kOk);
@@ -375,7 +366,7 @@ TEST(WalWriterTest, CorruptMidLogStopsReplayAtFirstBadFrame) {
     ASSERT_EQ(DecodeWalFrame(bytes, &offset, kMaxPayload, &frame),
               WalStatus::kOk);
     bytes[offset + io::kWalFrameHeaderSize] ^= 0x01;
-    WriteFile(path, bytes);
+    ASSERT_TRUE(io::WriteFileAtomic(path, bytes));
   }
 
   std::vector<std::string> got;
@@ -565,23 +556,26 @@ TEST(WalWriterTest, OpenRefusesToTruncateVersionSkew) {
 
   // Bump the segment header's version field, as if a newer binary wrote it.
   const std::string path = SegmentPath(options, 0);
-  std::string bytes = ReadFile(path);
+  std::string bytes;
+  ASSERT_TRUE(io::ReadFile(path, &bytes));
   ASSERT_GE(bytes.size(), io::kWalSegmentHeaderSize);
   const uint32_t newer = io::kWalVersion + 1;
   std::memcpy(&bytes[4], &newer, sizeof(newer));
-  WriteFile(path, bytes);
+  ASSERT_TRUE(io::WriteFileAtomic(path, bytes));
 
   std::string error;
   auto reopened = WalWriter::Open(options, &error);
   EXPECT_FALSE(reopened.has_value());
   EXPECT_NE(error.find("bad_version"), std::string::npos) << error;
   // Refusal is non-destructive: the segment is byte-identical.
-  EXPECT_EQ(ReadFile(path), bytes);
+  std::string after;
+  ASSERT_TRUE(io::ReadFile(path, &after));
+  EXPECT_EQ(after, bytes);
 
   // Restoring the version makes the same directory open cleanly again.
   const uint32_t current = io::kWalVersion;
   std::memcpy(&bytes[4], &current, sizeof(current));
-  WriteFile(path, bytes);
+  ASSERT_TRUE(io::WriteFileAtomic(path, bytes));
   auto healed = WalWriter::Open(options, &error);
   ASSERT_TRUE(healed.has_value()) << error;
   ASSERT_TRUE(healed->Append(1, "appended"));

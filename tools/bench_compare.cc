@@ -33,12 +33,13 @@
 // parsing, file I/O and console rendering.
 
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 
 #include "common/bench_compare.h"
 #include "common/flat_json.h"
+#include "common/string_util.h"
+#include "io/file.h"
 
 namespace {
 
@@ -54,20 +55,22 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    bool ok = true;
     if (arg == "--baseline" && has_value) {
       options.baseline_path = argv[++i];
     } else if (arg == "--pr" && has_value) {
       options.pr_path = argv[++i];
     } else if (arg == "--threshold" && has_value) {
-      options.compare.threshold = std::strtod(argv[++i], nullptr);
+      ok = dlinf::ParseNumberFlag(arg, argv[++i], &options.compare.threshold);
     } else if (arg == "--min-seconds" && has_value) {
-      options.compare.min_seconds = std::strtod(argv[++i], nullptr);
+      ok = dlinf::ParseNumberFlag(arg, argv[++i], &options.compare.min_seconds);
     } else if (arg == "--summary" && has_value) {
       options.summary_path = argv[++i];
     } else {
       std::fprintf(stderr, "unknown or valueless argument: %s\n", arg.c_str());
       return std::nullopt;
     }
+    if (!ok) return std::nullopt;
   }
   if (options.baseline_path.empty() || options.pr_path.empty() ||
       options.compare.threshold <= 0.0) {
@@ -125,17 +128,12 @@ int main(int argc, char** argv) {
   }
 
   if (!options->summary_path.empty()) {
-    const std::string markdown =
-        dlinf::BenchComparisonMarkdown(comparison, options->compare);
-    std::FILE* f = std::fopen(options->summary_path.c_str(), "w");
-    const bool written =
-        f != nullptr &&
-        std::fwrite(markdown.data(), 1, markdown.size(), f) ==
-            markdown.size();
-    if (f != nullptr) std::fclose(f);
-    if (!written) {
-      std::fprintf(stderr, "error: cannot write summary %s\n",
-                   options->summary_path.c_str());
+    std::string error;
+    if (!dlinf::io::WriteFileAtomic(
+            options->summary_path,
+            dlinf::BenchComparisonMarkdown(comparison, options->compare),
+            &error)) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
       return 2;
     }
   }

@@ -22,11 +22,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +34,7 @@
 #include "apps/query_engine.h"
 #include "apps/telemetry_server.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "dlinfma/dlinfma_method.h"
 #include "dlinfma/trainer.h"
@@ -44,6 +43,7 @@
 #include "io/bundle.h"
 #include "io/checkpoint.h"
 #include "io/codecs.h"
+#include "io/file.h"
 #include "apps/http_conn.h"
 #include "io/wal_frame.h"
 #include "obs/metrics.h"
@@ -87,18 +87,6 @@ std::string ScratchPath(const std::string& name) {
     return d;
   }();
   return dir + "/" + name;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << bytes;
 }
 
 /// One small trained pipeline, built lazily and shared by every scenario
@@ -158,11 +146,12 @@ const std::string& ValidWorldArtifact() {
 // --- Scenario: on-disk corruption classes ---------------------------------
 
 /// Every corruption class an artifact file can suffer on disk — bad magic,
-/// future version, flipped payload byte, truncation at several boundaries —
-/// must surface as a typed error with a human-readable reason, never a
-/// crash or a partially decoded world.
+/// future version, flipped payload byte, corrupt size field, truncation at
+/// several boundaries — must surface as a typed error with a human-readable
+/// reason, never a crash or a partially decoded world.
 void RunDiskCorruption(Checker& check) {
-  const std::string valid = ReadFileBytes(ValidWorldArtifact());
+  std::string valid;
+  io::ReadFile(ValidWorldArtifact(), &valid);
   check.Expect(valid.size() > 24, "fixture artifact implausibly small");
   const std::string path = ScratchPath("corrupt.art");
 
@@ -176,7 +165,7 @@ void RunDiskCorruption(Checker& check) {
   // Class 1: bad magic (first header byte flipped).
   std::string bytes = valid;
   bytes[0] ^= 0x5a;
-  WriteFileBytes(path, bytes);
+  io::WriteFileAtomic(path, bytes);
   expect_load_fails("bad magic");
 
   // Class 2: future format version (explicit version+1 patched into the
@@ -184,21 +173,29 @@ void RunDiskCorruption(Checker& check) {
   bytes = valid;
   const uint32_t future = io::kArtifactVersion + 1;
   std::memcpy(&bytes[4], &future, sizeof(future));
-  WriteFileBytes(path, bytes);
+  io::WriteFileAtomic(path, bytes);
   expect_load_fails("future version");
 
   // Class 3: payload bit rot (CRC must catch a single flipped byte).
   bytes = valid;
   bytes[20 + (bytes.size() - 24) / 2] ^= 0x01;
-  WriteFileBytes(path, bytes);
+  io::WriteFileAtomic(path, bytes);
   expect_load_fails("payload bit flip");
 
-  // Class 4: truncation — inside the header, at the header/payload
+  // Class 4: a corrupt payload-size field (the CRC does not cover the
+  // header) claiming 64 TiB must be rejected before anything is sized by it.
+  bytes = valid;
+  const uint64_t huge = uint64_t{1} << 46;
+  std::memcpy(&bytes[12], &huge, sizeof(huge));
+  io::WriteFileAtomic(path, bytes);
+  expect_load_fails("corrupt size field");
+
+  // Class 5: truncation — inside the header, at the header/payload
   // boundary, mid-payload, and one byte short of complete.
   for (const size_t keep :
        {size_t{3}, size_t{12}, size_t{20}, valid.size() / 2,
         valid.size() - 1}) {
-    WriteFileBytes(path, valid.substr(0, keep));
+    io::WriteFileAtomic(path, valid.substr(0, keep));
     expect_load_fails("truncated to " + std::to_string(keep) + " bytes");
   }
 
@@ -725,18 +722,19 @@ void RunCorruptPushRollback(Checker& check) {
   // Push 3: real on-disk corruption — flip one payload byte in model.art;
   // the CRC check in staging must reject it through the same rollback path.
   const std::string model_path = dir + "/model.art";
-  const std::string model_bytes = ReadFileBytes(model_path);
+  std::string model_bytes;
+  io::ReadFile(model_path, &model_bytes);
   check.Expect(model_bytes.size() > 64, "model artifact implausibly small");
   {
     std::string mutated = model_bytes;
     mutated[mutated.size() / 2] ^= 0x01;
-    WriteFileBytes(model_path, mutated);
+    io::WriteFileAtomic(model_path, mutated);
     std::string why;
     check.Expect(manager->ReloadNow(&why) ==
                      apps::BundleManager::ReloadOutcome::kRolledBack,
                  "on-disk corrupt push did not roll back");
     check.Expect(!why.empty(), "on-disk rollback gave no reason");
-    WriteFileBytes(model_path, model_bytes);  // Heal the push.
+    io::WriteFileAtomic(model_path, model_bytes);  // Heal the push.
   }
   check.Expect(manager->reload_degraded(),
                "degraded flag dropped while the last push was still bad");
@@ -1207,12 +1205,13 @@ void RunStreamIngestUnderFaults(Checker& check) {
   // Corrupt publication: one flipped payload byte in the pushed model
   // artifact must take the rollback path and open the degraded window.
   const std::string model_path = dir + "/model.art";
-  const std::string model_bytes = ReadFileBytes(model_path);
+  std::string model_bytes;
+  io::ReadFile(model_path, &model_bytes);
   check.Expect(model_bytes.size() > 64, "published model implausibly small");
   {
     std::string mutated = model_bytes;
     mutated[mutated.size() / 2] ^= 0x01;
-    WriteFileBytes(model_path, mutated);
+    io::WriteFileAtomic(model_path, mutated);
     check.Expect(manager->ReloadNow(&error) ==
                      apps::BundleManager::ReloadOutcome::kRolledBack,
                  "corrupt online publication did not roll back");
@@ -1240,7 +1239,7 @@ void RunStreamIngestUnderFaults(Checker& check) {
                  "healthz while the last push is still bad");
 
   // Heal the push: the degraded window closes on the next reload.
-  WriteFileBytes(model_path, model_bytes);
+  io::WriteFileAtomic(model_path, model_bytes);
   check.Expect(manager->ReloadNow(&error) ==
                    apps::BundleManager::ReloadOutcome::kSwapped,
                "healed publication did not swap: " + error);
@@ -1484,12 +1483,13 @@ void RunWalCorruptTailTruncate(Checker& check) {
       dir + "/" + io::WalSegmentFileName(0);
 
   // Corrupt the tail: flip one bit inside the last frame's payload.
-  std::string bytes = ReadFileBytes(segment_path);
+  std::string bytes;
+  io::ReadFile(segment_path, &bytes);
   check.Expect(bytes.size() > io::kWalSegmentHeaderSize,
                "wal segment unexpectedly empty");
   if (bytes.size() <= io::kWalSegmentHeaderSize) return;
   bytes[bytes.size() - 2] = static_cast<char>(bytes[bytes.size() - 2] ^ 0x10);
-  WriteFileBytes(segment_path, bytes);
+  io::WriteFileAtomic(segment_path, bytes);
 
   // Replay stops at the last whole frame with a typed status — never an
   // abort — and reports the poisoned tail exactly.
@@ -1556,7 +1556,7 @@ struct Scenario {
 };
 
 constexpr Scenario kScenarios[] = {
-    {"disk_corruption", "4 on-disk corruption classes -> typed errors", true,
+    {"disk_corruption", "5 on-disk corruption classes -> typed errors", true,
      RunDiskCorruption},
     {"io_faults", "injected short read / bit flip / stale version / write "
                   "fail -> typed errors + exact counters",
@@ -1637,7 +1637,7 @@ int Main(int argc, char** argv) {
     } else if (arg == "--scenario") {
       only = next();
     } else if (arg == "--seed") {
-      g_base_seed = std::stoull(next());
+      if (!ParseNumberFlag(arg, next(), &g_base_seed)) return 2;
     } else if (arg == "--list") {
       list = true;
     } else if (arg == "--help" || arg == "-h") {

@@ -132,6 +132,7 @@
 #include "dlinfma/inferrer.h"
 #include "io/bundle.h"
 #include "io/checkpoint.h"
+#include "io/file.h"
 #include "nn/kernels.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -590,8 +591,6 @@ int CmdStreamListen(const std::map<std::string, std::string>& flags) {
     return 2;
   }
   options.wal.dir = flags.at("wal-dir");
-  std::error_code ec;
-  std::filesystem::create_directories(options.wal.dir, ec);
 
   if (auto city = flags.find("city"); city != flags.end()) {
     std::optional<sim::World> world = sim::LoadWorldCsv(city->second);
@@ -916,55 +915,43 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // An output file that cannot be written turns a success into exit 1.
+  auto write_out = [&status](const std::string& path,
+                             const std::string& bytes) {
+    std::string error;
+    if (io::WriteFileAtomic(path, bytes, &error)) return true;
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    if (status == 0) status = 1;
+    return false;
+  };
   if (auto it = flags.find("metrics"); it != flags.end()) {
-    const obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    const std::string json = obs::MetricsRegistry::Global().SnapshotJson();
     if (it->second == "true") {
-      std::fputs(registry.SnapshotJson().c_str(), stdout);
-    } else if (!registry.DumpJson(it->second)) {
-      std::fprintf(stderr, "error: cannot write metrics to %s\n",
-                   it->second.c_str());
-      if (status == 0) status = 1;
+      std::fputs(json.c_str(), stdout);
+    } else {
+      write_out(it->second, json);
     }
   }
   if (profile_out != flags.end() && profile_out->second != "true") {
     obs::prof::CpuProfiler& profiler = obs::prof::CpuProfiler::Global();
     profiler.Stop();
     const std::string& path = profile_out->second;
-    const bool chrome =
-        path.size() > 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-    bool written = false;
-    if (chrome) {
-      std::FILE* file = std::fopen(path.c_str(), "w");
-      if (file != nullptr) {
-        const std::string json = obs::prof::ExportCombinedChromeJson();
-        const bool full =
-            std::fwrite(json.data(), 1, json.size(), file) == json.size();
-        written = std::fclose(file) == 0 && full;
-      }
-    } else {
-      written = profiler.ExportFolded(path);
-    }
-    if (written) {
+    if (write_out(path, path.ends_with(".json")
+                            ? obs::prof::ExportCombinedChromeJson()
+                            : profiler.ExportFolded())) {
       std::fprintf(stderr, "profile: %lld samples @ %d Hz -> %s\n",
                    static_cast<long long>(profiler.sample_count()),
                    profiler.hz(), path.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write profile to %s\n",
-                   path.c_str());
-      if (status == 0) status = 1;
     }
   }
   if (trace_out != flags.end() && trace_out->second != "true") {
     obs::TraceLog::Global().Stop();
-    if (obs::TraceLog::Global().ExportChromeJson(trace_out->second)) {
+    if (write_out(trace_out->second,
+                  obs::TraceLog::Global().ExportChromeJson())) {
       std::fprintf(stderr, "trace: %lld events -> %s\n",
                    static_cast<long long>(
                        obs::TraceLog::Global().recorded_events()),
                    trace_out->second.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write trace to %s\n",
-                   trace_out->second.c_str());
-      if (status == 0) status = 1;
     }
   }
   obs::StructuredLog::Global().Close();

@@ -38,7 +38,6 @@
 #include <cstring>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "apps/http_conn.h"
@@ -47,7 +46,7 @@
 
 namespace {
 
-using dlinf::ParseNumber;
+using dlinf::ParseNumberFlag;
 using dlinf::apps::HttpClient;
 using dlinf::apps::HttpGetOnce;
 
@@ -85,13 +84,7 @@ bool ParseArgs(int argc, char** argv, Options* options) {
     // Strict: the whole value must parse, so "--port 19x80" is an error
     // rather than port 19.
     auto number = [&](auto* out) {
-      if (ParseNumber(argv[++i], out)) return true;
-      std::fprintf(stderr, "error: %s wants %s, got '%s'\n", arg.c_str(),
-                   std::is_integral_v<std::remove_pointer_t<decltype(out)>>
-                       ? "an integer"
-                       : "a number",
-                   argv[i]);
-      return false;
+      return ParseNumberFlag(arg, argv[++i], out);
     };
     bool ok = true;
     if (arg == "--port" && has_value) {
