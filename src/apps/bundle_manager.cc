@@ -24,6 +24,13 @@ obs::Gauge* DegradedGauge() {
   return obs::MetricsRegistry::Global().GetGauge("service.reload.degraded");
 }
 
+obs::Histogram* StageSeconds() {
+  static obs::Histogram* const histogram =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "service.reload.stage_seconds");
+  return histogram;
+}
+
 void SetError(std::string* error, std::string reason) {
   if (error != nullptr) *error = std::move(reason);
 }
@@ -75,6 +82,8 @@ Bounds WorldBounds(const sim::World& world, double margin) {
 std::shared_ptr<const BundleManager::ServingState> BundleManager::Stage(
     const std::string& dir, uint64_t generation, std::string* error) {
   obs::Span span("bundle_stage");
+  // Load + build of one bundle: the cost every push (and boot) pays once.
+  obs::ScopedTimer timer(StageSeconds());
   // Injected torn/corrupt push: the load fails exactly as a CRC or decode
   // error would, without needing a real bad file on disk.
   if (fault::Hit("service.reload.corrupt")) {

@@ -39,7 +39,9 @@ namespace apps {
 /// A rollback keeps the live bundle serving, increments
 /// `service.reload.rollbacks`, and raises the degraded-health flag (gauge
 /// `service.reload.degraded`) until a later push swaps cleanly. Every
-/// attempt/outcome feeds `service.reload.{attempts,success,rollbacks}`.
+/// attempt/outcome feeds `service.reload.{attempts,success,rollbacks}`, and
+/// the histogram `service.reload.stage_seconds` times each stage (load +
+/// build).
 ///
 /// Fault points (DESIGN.md §8): `service.reload.corrupt` makes staging fail
 /// exactly as a torn/corrupt push would; `service.reload.validation_fail`

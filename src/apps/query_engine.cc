@@ -1,6 +1,5 @@
 #include "apps/query_engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -184,14 +183,13 @@ std::unique_ptr<QueryEngine> QueryEngine::Create(const Options& options,
   auto engine = std::unique_ptr<QueryEngine>(new QueryEngine());
   engine->options_ = options;
   engine->router_ = ShardRouter(options.num_shards);
+  BundleManager::Config config = options.bundle;
+  config.dir = options.bundle_dir;
+  engine->manager_ = BundleManager::Create(config, error);
+  if (engine->manager_ == nullptr) return nullptr;
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-
   for (int i = 0; i < options.num_shards; ++i) {
-    BundleManager::Config config = options.bundle;
-    config.dir = options.bundle_dir;
     auto shard = std::make_unique<Shard>();
-    shard->manager = BundleManager::Create(config, error);
-    if (shard->manager == nullptr) return nullptr;
     const std::string label = "#shard=" + std::to_string(i);
     shard->hits = registry.GetCounter("service.shard.hits" + label);
     shard->shed = registry.GetCounter("service.shard.shed" + label);
@@ -199,22 +197,15 @@ std::unique_ptr<QueryEngine> QueryEngine::Create(const Options& options,
   }
   engine->RefreshAddressCount();
   QueryEngine* raw = engine.get();
-  engine->admin_ = AdminRoutes([raw] {
-    // The top-level generation is the oldest one any shard serves.
-    HealthStatus health;
-    health.generation = UINT64_MAX;
-    for (const auto& shard : raw->shards_) {
-      const HealthStatus::Shard entry{shard->manager->generation(),
-                                      shard->manager->reload_degraded()};
-      health.shards.push_back(entry);
-      health.ok = health.ok && !entry.degraded;
-      health.generation = std::min(health.generation, entry.generation);
-    }
-    if (!health.ok) {
-      health.detail = "shard(s) rolled back, serving previous generation";
-    }
-    return health;
-  });
+  engine->admin_ = AdminRoutes(
+      [raw, manager = BundleManagerHealth(engine->manager_.get())] {
+        // Every shard serves the engine's one live generation.
+        HealthStatus health = manager();
+        health.shards.assign(
+            raw->shards_.size(),
+            HealthStatus::Shard{health.generation, !health.ok});
+        return health;
+      });
 
   HttpServer::Options server_options;
   server_options.port = options.port;
@@ -269,16 +260,16 @@ QueryEngine::ReloadSummary QueryEngine::ReloadEachShard(
     BundleManager::ReloadOutcome (BundleManager::*step)(std::string*),
     std::string* error) {
   ReloadSummary summary;
-  for (auto& shard : shards_) {
-    switch ((shard->manager.get()->*step)(error)) {
-      case BundleManager::ReloadOutcome::kSwapped: ++summary.swapped; break;
-      case BundleManager::ReloadOutcome::kRolledBack:
-        ++summary.rolled_back;
-        break;
-      case BundleManager::ReloadOutcome::kUnchanged:
-        ++summary.unchanged;
-        break;
-    }
+  switch ((manager_.get()->*step)(error)) {
+    case BundleManager::ReloadOutcome::kSwapped:
+      summary.swapped = num_shards();
+      break;
+    case BundleManager::ReloadOutcome::kRolledBack:
+      summary.rolled_back = num_shards();
+      break;
+    case BundleManager::ReloadOutcome::kUnchanged:
+      summary.unchanged = num_shards();
+      break;
   }
   RefreshAddressCount();
   return summary;
@@ -287,24 +278,17 @@ QueryEngine::ReloadSummary QueryEngine::ReloadEachShard(
 void QueryEngine::RefreshAddressCount() {
   address_count_.store(
       static_cast<int64_t>(
-          shards_[0]->manager->state()->bundle.world->addresses.size()),
+          manager_->state()->bundle.world->addresses.size()),
       std::memory_order_release);
 }
 
-bool QueryEngine::AnyShardDegraded() const {
-  for (const auto& shard : shards_) {
-    if (shard->manager->reload_degraded()) return true;
-  }
-  return false;
-}
-
 DeliveryLocationService::Answer QueryEngine::ShedAnswer(
-    const Shard& shard, int64_t address_id) const {
+    int64_t address_id) const {
   // The geocode tier is the terminal, infallible tier of DegradePolicy's
   // fallback chain — shedding answers from it directly without touching the
   // shard's queue or the service's tier counters.
   const std::shared_ptr<const BundleManager::ServingState> state =
-      shard.manager->state();
+      manager_->state();
   DeliveryLocationService::Answer answer;
   answer.location = state->bundle.world->address(address_id).geocoded_location;
   answer.source = DeliveryLocationService::Source::kGeocode;
@@ -330,7 +314,7 @@ bool QueryEngine::AdmitOrShed(int shard_index, Job job) {
       for (const size_t index : job.indices) {
         const int64_t id = job.batch->ids[index];
         job.batch->parts[index] =
-            FormatAnswerJson(id, ShedAnswer(*shard, id), shard_index,
+            FormatAnswerJson(id, ShedAnswer(id), shard_index,
                              /*shed=*/true);
       }
       job.batch->FinishIfLast();
@@ -338,7 +322,7 @@ bool QueryEngine::AdmitOrShed(int shard_index, Job job) {
       job.handle.RespondWithHeaders(
           200, "application/json",
           FormatAnswerJson(job.address_id,
-                           ShedAnswer(*shard, job.address_id), shard_index,
+                           ShedAnswer(job.address_id), shard_index,
                            /*shed=*/true),
           {{"X-Request-Id", job.request_id}});
       EngineMetrics::Get().latency->Observe(NowSeconds() - job.enqueue_s);
@@ -371,11 +355,11 @@ void QueryEngine::WorkerLoop(Shard* shard, int shard_index) {
     if (const auto fire = fault::Hit("service.shard.latency")) {
       fault::SleepForMs(fire->latency_ms);
     }
-    // Pin this shard's serving state once per job: a concurrent swap cannot
+    // Pin the live serving state once per job: a concurrent swap cannot
     // invalidate it, and every answer in a batch slice comes from one
     // generation.
     const std::shared_ptr<const BundleManager::ServingState> state =
-        shard->manager->state();
+        manager_->state();
     // The request's trace context lives for the whole shard-side handling:
     // spans recorded below and any structured log line carry the id from
     // the request's X-Request-Id header.

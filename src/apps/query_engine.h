@@ -23,9 +23,10 @@
 ///
 /// One epoll event loop (`HttpServer`) accepts keep-alive/pipelined HTTP and
 /// routes `/query` + `/query_batch` by consistent hash (`ShardRouter`) to N
-/// shard worker threads. Each shard owns its own `BundleManager` over the
-/// same bundle directory, so hot-reload (stage → validate → swap/rollback)
-/// happens per shard without ever blocking another shard's queries.
+/// shard worker threads. The engine owns one `BundleManager` over the bundle
+/// directory and every shard worker answers from its live `ServingState`, so
+/// a push is staged, validated and swapped (or rolled back) once, and never
+/// blocks a shard's queries.
 ///
 /// **Request correlation**: `/query` and `/query_batch` accept an
 /// `X-Request-Id` header (any string; numeric values are adopted as the
@@ -47,13 +48,15 @@
 /// goes to the shared admin routes (admin_routes.h: /metrics, /healthz,
 /// /varz, /tracez, /profilez) on the same event loop, so a stalled or slow
 /// client can never delay a health scrape (the slow-loris fix; see
-/// tests/query_engine_test.cc). /healthz lists every shard's generation and
-/// is 503 while any shard runs on a rolled-back generation.
+/// tests/query_engine_test.cc). /healthz lists every shard's generation (all
+/// shards serve the one live generation) and is 503 while the engine runs on
+/// a rolled-back generation.
 
 namespace dlinf {
 namespace apps {
 
-/// Sharded query engine: event loop + N shard workers + per-shard reload.
+/// Sharded query engine: event loop + N shard workers over one reloadable
+/// bundle.
 class QueryEngine {
  public:
   struct Options {
@@ -64,20 +67,22 @@ class QueryEngine {
     /// are shed to the inline degraded tier.
     int max_queue_per_shard = 512;
     double idle_timeout_s = 30.0;
-    /// Per-shard BundleManager tuning (`dir` is overridden by bundle_dir).
+    /// BundleManager tuning (`dir` is overridden by bundle_dir).
     BundleManager::Config bundle;
   };
 
-  /// Aggregate outcome of one reload pass across every shard.
+  /// Outcome of one reload, counted per shard: a clean push reports
+  /// `swapped == num_shards()`.
   struct ReloadSummary {
     int swapped = 0;
     int rolled_back = 0;
     int unchanged = 0;
   };
 
-  /// Boots one BundleManager per shard from `options.bundle_dir`, builds
-  /// the shard ring, binds the port and starts serving. nullptr (reason in
-  /// `error`) when the bundle fails to load or the socket setup fails.
+  /// Boots one BundleManager from `options.bundle_dir` (the bundle is
+  /// staged once, whatever the shard count), builds the shard ring, binds
+  /// the port and starts serving. nullptr (reason in `error`) when the
+  /// bundle fails to load or the socket setup fails.
   static std::unique_ptr<QueryEngine> Create(const Options& options,
                                              std::string* error = nullptr);
 
@@ -92,20 +97,20 @@ class QueryEngine {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const ShardRouter& router() const { return router_; }
 
-  /// Runs BundleManager::Poll on every shard (control thread only).
+  /// Runs BundleManager::Poll once for all shards (control thread only).
   ReloadSummary PollShards(std::string* error = nullptr);
 
-  /// Runs BundleManager::ReloadNow on every shard (control thread only).
+  /// Runs BundleManager::ReloadNow once for all shards (control thread
+  /// only).
   ReloadSummary ReloadShardsNow(std::string* error = nullptr);
 
-  /// True while any shard serves an older generation than the last push
-  /// (i.e. at least one shard rolled back and hasn't recovered).
-  bool AnyShardDegraded() const;
+  /// True while the shards serve an older generation than the last push
+  /// (the push rolled back and no later push has swapped).
+  bool AnyShardDegraded() const { return manager_->reload_degraded(); }
 
-  /// Shard `i`'s reload manager (tests and the serve loop).
-  BundleManager* shard_manager(int shard) {
-    return shards_[static_cast<size_t>(shard)]->manager.get();
-  }
+  /// The reload manager every shard serves from (tests and the serve
+  /// loop).
+  BundleManager* shard_manager(int /*shard*/) { return manager_.get(); }
 
   /// The exact JSON body `/query` serves for `address_id` answered by
   /// `shard`. Exposed so tests can derive the expected bytes from a direct
@@ -130,7 +135,6 @@ class QueryEngine {
   };
 
   struct Shard {
-    std::unique_ptr<BundleManager> manager;
     std::thread worker;
     std::mutex mu;
     std::condition_variable cv;
@@ -150,22 +154,23 @@ class QueryEngine {
   void WorkerLoop(Shard* shard, int shard_index);
 
   /// The inline geocode-tier degraded answer used when shedding.
-  DeliveryLocationService::Answer ShedAnswer(const Shard& shard,
-                                             int64_t address_id) const;
+  DeliveryLocationService::Answer ShedAnswer(int64_t address_id) const;
 
   /// True when the request was shed (handled inline); false when enqueued.
   bool AdmitOrShed(int shard_index, Job job);
 
-  /// Runs `step` (Poll or ReloadNow) on every shard's manager.
+  /// Runs `step` (Poll or ReloadNow) once and counts its outcome for
+  /// every shard.
   ReloadSummary ReloadEachShard(
       BundleManager::ReloadOutcome (BundleManager::*step)(std::string*),
       std::string* error);
 
-  /// Re-reads the admission bound from shard 0's live bundle.
+  /// Re-reads the admission bound from the live bundle.
   void RefreshAddressCount();
 
   Options options_;
   ShardRouter router_{1};
+  std::unique_ptr<BundleManager> manager_;
   std::vector<std::unique_ptr<Shard>> shards_;
   AdminRoutes admin_;
   HttpServer server_;

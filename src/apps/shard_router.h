@@ -9,8 +9,8 @@
 ///
 /// The query engine partitions addresses across N shard workers. The map
 /// must be (a) a pure function of (key, num_shards) — the same address hits
-/// the same shard across process restarts, so per-shard caches and reload
-/// generations stay meaningful — and (b) stable under resharding: growing
+/// the same shard across process restarts, so per-shard caches and
+/// counters stay meaningful — and (b) stable under resharding: growing
 /// from N to N+1 shards moves only ~1/(N+1) of the keyspace, not all of it.
 /// A hash ring with virtual nodes gives both; plain `hash % N` gives
 /// neither (b) nor balanced load under adversarial key sets.

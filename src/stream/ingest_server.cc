@@ -222,7 +222,16 @@ std::string FormatIngestLine(const IngestRecord& record) {
   return "";
 }
 
-IngestServer::IngestServer(Options options) : options_(std::move(options)) {}
+IngestServer::IngestServer(Options options)
+    : options_(std::move(options)), admin_([this] {
+        apps::HealthStatus health;
+        if (wal_dead_.load(std::memory_order_acquire)) {
+          health.ok = false;
+          health.detail = "WAL writer dead after a failed write or fsync; "
+                          "restart to recover";
+        }
+        return health;
+      }) {}
 
 IngestServer::~IngestServer() {
   if (running_) Stop();
@@ -242,6 +251,7 @@ bool IngestServer::Start(std::string* error) {
   auto wal = WalWriter::Open(options_.wal, error);
   if (!wal) return false;
   wal_ = std::move(*wal);
+  wal_dead_.store(false, std::memory_order_release);
 
   writer_stop_ = false;
   writer_crashed_ = false;
@@ -578,6 +588,7 @@ void IngestServer::ProcessBatch(Batch* batch) {
     }
     std::string wal_error;
     if (!wal_->AppendFrames(frames, fresh.size(), &wal_error)) {
+      NoteWalHealth();
       reject(503, metrics.rejected_wal, "wal append failed: " + wal_error);
       return;
     }
@@ -774,6 +785,10 @@ bool IngestServer::WriteSnapshot(uint64_t covered_segment,
   return writer.Finish(SnapshotPath(options_.wal.dir), error);
 }
 
+void IngestServer::NoteWalHealth() {
+  if (wal_->dead()) wal_dead_.store(true, std::memory_order_release);
+}
+
 void IngestServer::MaybeSnapshot() {
   if (options_.snapshot_every_segments == 0) return;
   const int64_t sealed = static_cast<int64_t>(wal_->current_segment()) - 1;
@@ -788,6 +803,7 @@ void IngestServer::MaybeSnapshot() {
   // segment's already-snapshotted records a second time.
   std::string error;
   if (!wal_->Rotate(&error)) {
+    NoteWalHealth();
     IngestMetrics::Get().snapshot_errors->Add(1);
     return;
   }

@@ -54,7 +54,9 @@
 ///        (rejected, reason=client_cap). Both carry a Retry-After header.
 ///        Never blocks the event loop, never silent.
 ///   503  WAL append failed (wal.{write_fail,disk_full,torn_write,
-///        fsync_fail}) — dedup state unchanged, the retry is safe.
+///        fsync_fail}) — dedup state unchanged, the retry is safe. A failed
+///        fsync or torn write kills the WAL writer: every later POST is
+///        503 and /healthz is 503 until a restart reopens the log.
 ///
 /// `GET /ingest/stats` reports the Stats counters as JSON. Every other path
 /// goes to the shared admin routes (apps/admin_routes.h: /metrics,
@@ -223,6 +225,9 @@ class IngestServer {
   bool RecoverState(std::string* error);
   bool WriteSnapshot(uint64_t covered_segment, std::string* error);
   void MaybeSnapshot();
+  /// Publishes a dead WAL writer to /healthz (writer thread, after a failed
+  /// append or rotation).
+  void NoteWalHealth();
   std::string StatsJson() const;
 
   Options options_;
@@ -255,6 +260,9 @@ class IngestServer {
   std::atomic<int64_t> batches_{0};
   std::atomic<int64_t> trips_{0};
   std::atomic<int64_t> tracked_clients_{0};
+  /// The WAL writer died (failed fsync, torn write): every append is
+  /// refused with 503 and /healthz is 503 until a restart reopens the log.
+  std::atomic<bool> wal_dead_{false};
 };
 
 }  // namespace stream

@@ -275,9 +275,11 @@ bool WalWriter::Rotate(std::string* error) {
   if (dead_) return SetError(error, "wal writer is dead (crashed or closed)");
   if (segment_size_ <= io::kWalSegmentHeaderSize) return true;
   if (::fsync(fd_) != 0) {
+    const int err = errno;
+    dead_ = true;  // See Sync: a failed fsync is never retried.
     CountError("fsync");
     return SetError(error, std::string("fsync before rotation failed: ") +
-                               std::strerror(errno));
+                               std::strerror(err) + " (writer dead)");
   }
   if (!OpenSegment(segment_index_ + 1, false, 0, error)) {
     dead_ = true;
@@ -393,14 +395,21 @@ bool WalWriter::MaybeFsync(std::string* error) {
 
 bool WalWriter::Sync(std::string* error) {
   if (dead_) return SetError(error, "wal writer is dead (crashed or closed)");
+  // After a failed fsync the kernel may already have dropped the dirty
+  // pages and cleared the error, so a later fsync can "succeed" over lost
+  // data (fsyncgate). The writer dies instead: nothing is acked again until
+  // a restart reopens and re-verifies the log.
   if (fault::Hit("wal.fsync_fail")) {
+    dead_ = true;
     CountError("fsync");
-    return SetError(error, "injected fsync failure");
+    return SetError(error, "injected fsync failure (writer dead)");
   }
   if (::fsync(fd_) != 0) {
+    const int err = errno;
+    dead_ = true;
     CountError("fsync");
-    return SetError(error,
-                    std::string("fsync failed: ") + std::strerror(errno));
+    return SetError(error, std::string("fsync failed: ") +
+                               std::strerror(err) + " (writer dead)");
   }
   appends_since_fsync_ = 0;
   last_fsync_monotonic_s_ = MonotonicSeconds();

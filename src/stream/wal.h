@@ -23,14 +23,18 @@
 ///    failed write the writer truncates the segment back to its pre-append
 ///    size, so the log only ever grows by whole frames (except when a torn
 ///    write is injected to *simulate* a crash, which marks the writer dead).
-///  - After a dead-marking failure every later Append fails fast with a
-///    typed error; the owner is expected to reopen (crash-restart path).
+///  - A failed fsync (in Sync, in the fsync policy, or before a rotation)
+///    also marks the writer dead: the kernel may have dropped the unsynced
+///    pages, so a later fsync that succeeds would prove nothing.
+///  - After a dead-marking failure every later Append and Sync fails fast
+///    with a typed "dead" error; the owner is expected to reopen
+///    (crash-restart path).
 ///
 /// Fault points (DESIGN.md §8): `wal.write_fail` (transient write error),
 /// `wal.disk_full` (ENOSPC-style error, segment restored), `wal.torn_write`
 /// (prefix of the frame reaches disk, writer dies — models power cut
 /// mid-write; `param` = bytes kept, default half), `wal.fsync_fail`
-/// (fsync reports failure after a durable write).
+/// (fsync reports failure after the write; the writer dies).
 ///
 /// Counters: `wal.appends`, `wal.append_bytes`, `wal.fsyncs`,
 /// `wal.rotations`, `wal.truncated_bytes` (recovery truncation),
@@ -104,7 +108,8 @@ class WalWriter {
   bool AppendFrames(const std::string& encoded, uint64_t frame_count,
                     std::string* error = nullptr);
 
-  /// Explicit durability barrier (also honours wal.fsync_fail).
+  /// Explicit durability barrier (also honours wal.fsync_fail). A failure
+  /// leaves the writer dead.
   bool Sync(std::string* error = nullptr);
 
   /// Seals the current segment (fsync + open the next one). No-op when the

@@ -546,6 +546,54 @@ TEST(IngestServerTest, WalFailureReturns503AndRetrySucceeds) {
   server.Stop();
 }
 
+TEST(IngestServerTest, FsyncFailureKillsWalUntilRestart) {
+  const std::string dir = ScratchDir("fsyncgate");
+  IngestServer::Options options = BaseOptions(dir);
+  options.wal.fsync_every_n = 1;  // Every acked batch is fsynced.
+  const std::string body = "start_trip g 1 1 0 100\npoint g 2 1 2 3\n";
+  {
+    IngestServer server(options);
+    ASSERT_TRUE(server.Start());
+    HttpClient client;
+    ASSERT_TRUE(client.Connect(server.port()));
+    {
+      fault::ScopedFaultPlan plan(
+          fault::FaultPlan().FailFirst("wal.fsync_fail", 1), /*seed=*/11);
+      std::string response;
+      ASSERT_EQ(PostIngest(&client, body, &response), 503);
+      EXPECT_NE(response.find("fsync"), std::string::npos) << response;
+    }
+    // The kernel may have dropped the unsynced pages, so the writer never
+    // acks again: the retry is refused and /healthz reports the dead WAL.
+    std::string response;
+    ASSERT_EQ(PostIngest(&client, body, &response), 503);
+    EXPECT_NE(response.find("dead"), std::string::npos) << response;
+    int status = 0;
+    ASSERT_TRUE(apps::HttpGetOnce(server.port(), "/healthz", &status,
+                                  &response));
+    EXPECT_EQ(status, 503);
+    EXPECT_NE(response.find("\"status\":\"degraded\""), std::string::npos)
+        << response;
+    EXPECT_EQ(server.stats().acked, 0);
+    server.Stop();
+  }
+  // A restart reopens and re-verifies the log: healthy again, and the
+  // batch that reached write(2) before the failed fsync is recovered, so
+  // the client's retry is an exact no-op.
+  IngestServer server(options);
+  ASSERT_TRUE(server.Start());
+  int status = 0;
+  std::string response;
+  ASSERT_TRUE(
+      apps::HttpGetOnce(server.port(), "/healthz", &status, &response));
+  EXPECT_EQ(status, 200) << response;
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  ASSERT_EQ(PostIngest(&client, body, &response), 200);
+  EXPECT_NE(response.find("\"deduped\":2"), std::string::npos) << response;
+  server.Stop();
+}
+
 TEST(IngestServerTest, CrashMidIngestRecoversEveryAckedRecord) {
   const std::string dir = ScratchDir("crash");
   const auto& trips = FullWorld().trips;

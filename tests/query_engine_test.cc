@@ -9,7 +9,8 @@
 //  - exact service.shard.* counter cross-checks (hits + shed == queries
 //    issued, per-shard hits == keys routed there);
 //  - the shedding contract (overload answers degraded, never drops);
-//  - per-shard rollback → /healthz degradation → recovery;
+//  - one staged reload per push for every shard, and rollback → /healthz
+//    degradation → recovery;
 //  - the slow-loris fix: a stalled connection cannot delay /healthz.
 // The whole file runs under TSan in CI.
 
@@ -461,7 +462,8 @@ TEST(QueryEngineTest, PerShardRollbackDegradesHealthzThenRecovers) {
     EXPECT_EQ(summary.swapped, 0);
   }
   EXPECT_TRUE(engine->AnyShardDegraded());
-  EXPECT_EQ(CounterValue("service.reload.rollbacks") - rollbacks_before, 2);
+  // One push is one staged reload, whatever the shard count.
+  EXPECT_EQ(CounterValue("service.reload.rollbacks") - rollbacks_before, 1);
 
   ASSERT_TRUE(HttpGetOnce(engine->port(), "/healthz", &status, &body));
   EXPECT_EQ(status, 503);
@@ -483,6 +485,38 @@ TEST(QueryEngineTest, PerShardRollbackDegradesHealthzThenRecovers) {
   EXPECT_FALSE(engine->AnyShardDegraded());
   ASSERT_TRUE(HttpGetOnce(engine->port(), "/healthz", &status, &body));
   EXPECT_EQ(status, 200);
+}
+
+TEST(QueryEngineTest, OnePushStagesOnceForEveryShard) {
+  constexpr int kShards = 4;
+  std::unique_ptr<QueryEngine> engine = MakeEngine(kShards);
+  ASSERT_NE(engine, nullptr);
+
+  const int64_t attempts_before = CounterValue("service.reload.attempts");
+  std::string error;
+  const QueryEngine::ReloadSummary summary = engine->ReloadShardsNow(&error);
+  EXPECT_EQ(summary.swapped, kShards) << error;
+  EXPECT_EQ(summary.rolled_back, 0);
+  // The push was staged and validated once, not once per shard...
+  EXPECT_EQ(CounterValue("service.reload.attempts") - attempts_before, 1);
+  // ...and every shard serves the very same state.
+  const BundleManager::ServingState* live =
+      engine->shard_manager(0)->state().get();
+  EXPECT_EQ(live->generation, 1u);
+  for (int shard = 1; shard < kShards; ++shard) {
+    EXPECT_EQ(engine->shard_manager(shard)->state().get(), live) << shard;
+  }
+
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGetOnce(engine->port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 200);
+  for (int shard = 0; shard < kShards; ++shard) {
+    EXPECT_NE(body.find("{\"shard\":" + std::to_string(shard) +
+                        ",\"generation\":1,"),
+              std::string::npos)
+        << body;
+  }
 }
 
 TEST(QueryEngineTest, CorruptHeaderSizePushRollsBackAndKeepsServing) {

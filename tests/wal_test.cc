@@ -458,8 +458,18 @@ TEST(WalWriterTest, InjectedWriteFailuresAreTypedAndLeaveWholeFrames) {
     std::string error;
     EXPECT_FALSE(writer->Sync(&error));
     EXPECT_NE(error.find("fsync"), std::string::npos);
-    EXPECT_TRUE(writer->Sync(&error)) << error;
+    // A later fsync could "succeed" over pages the kernel already dropped,
+    // so the writer is dead: Sync and Append both fail fast.
+    EXPECT_TRUE(writer->dead());
+    EXPECT_FALSE(writer->Sync(&error));
+    EXPECT_NE(error.find("dead"), std::string::npos);
+    EXPECT_FALSE(writer->Append(1, "after-fsync-fail", &error));
+    EXPECT_NE(error.find("dead"), std::string::npos);
   }
+  // Only a reopen (the crash-restart path) brings the log back.
+  writer->Close();
+  writer = WalWriter::Open(options);
+  ASSERT_TRUE(writer.has_value());
 
   // Torn write: the writer dies; reopening recovers the valid prefix.
   {

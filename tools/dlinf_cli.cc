@@ -21,17 +21,17 @@
 //
 //   dlinf_cli serve --bundle DIR [--shards N] [--port P] [--serve-seconds S]
 //              [--poll-every K] [--trace-sample R]
-//       The online service (DESIGN.md §11): warm-start N shard workers
-//       (default: QueryEngine::Options) from the bundle — milliseconds, no
-//       retraining — behind one epoll event loop on port P (default 0 =
-//       ephemeral; the bound port is printed). It serves /query,
-//       /query_batch and /inventory plus the shared admin routes /metrics,
-//       /healthz, /varz, /tracez and /profilez (DESIGN.md §10) until S
-//       seconds elapse (default 0 = until SIGINT/SIGTERM). Every K seconds
-//       (default 5) each shard polls the bundle directory: a fresh push is
-//       staged, shadow-validated and swapped in with zero downtime, and a
-//       bad push rolls back (and /healthz turns 503 until the next clean
-//       swap). Per-request traces for /tracez are sampled at rate R
+//       The online service (DESIGN.md §11): warm-start the bundle once —
+//       milliseconds, no retraining — and serve it from N shard workers
+//       (default: QueryEngine::Options) behind one epoll event loop on
+//       port P (default 0 = ephemeral; the bound port is printed). It
+//       serves /query, /query_batch and /inventory plus the shared admin
+//       routes /metrics, /healthz, /varz, /tracez and /profilez
+//       (DESIGN.md §10) until S seconds elapse (default 0 = until
+//       SIGINT/SIGTERM). Every K seconds (default 5) the engine polls the
+//       bundle directory: a fresh push is staged and shadow-validated once
+//       and every shard swaps to it with zero downtime, and a bad push
+//       rolls back (and /healthz turns 503 until the next clean swap). Per-request traces for /tracez are sampled at rate R
 //       (default 0.01). Drive it with tools/load_gen.
 //
 //   dlinf_cli infer (--bundle DIR | --world DIR --model FILE) --out FILE.csv
@@ -509,8 +509,8 @@ double ServeUntilStopped(double seconds,
 
 /// `serve`: the sharded HTTP query engine (DESIGN.md §11). Boots a
 /// QueryEngine over the bundle, prints the bound port, then serves until
-/// --serve-seconds elapses (0 = until SIGINT/SIGTERM), polling every shard's
-/// bundle directory for pushes every --poll-every seconds.
+/// --serve-seconds elapses (0 = until SIGINT/SIGTERM), polling the bundle
+/// directory for pushes every --poll-every seconds.
 int CmdServe(const std::map<std::string, std::string>& flags) {
   if (flags.count("bundle") == 0) return Usage();
   const std::string& dir = flags.at("bundle");
