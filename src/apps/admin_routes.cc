@@ -110,6 +110,18 @@ bool AdminRoutes::Handle(const HttpRequest& request,
   return true;
 }
 
+bool AdminRoutes::Serve(HttpServer* server, const HttpServer::Options& options,
+                        std::string* error) const {
+  return server->Start(
+      options,
+      [this](const HttpRequest& request, HttpServer::ResponseHandle handle) {
+        if (!Handle(request, handle)) {
+          handle.Respond(404, "text/plain", "not found\n");
+        }
+      },
+      error);
+}
+
 void AdminRoutes::StopServer(HttpServer* server) {
   if (server->running()) obs::prof::CaptureManager::Global().CancelAndJoin();
   server->Stop();

@@ -11,8 +11,9 @@
 
 /// \file
 /// The one admin surface (DESIGN.md §10), mounted by every HTTP server in
-/// the repo — the query engine, the ingest server and the standalone
-/// telemetry server. A server answers its own paths first and hands
+/// the repo — the query engine and the ingest server — and served on its
+/// own by `AdminRoutes::Serve` where a process has no other server (the
+/// chaos drills). A server answers its own paths first and hands
 /// everything else to `AdminRoutes::Handle`, which serves:
 ///
 ///   GET /metrics  Prometheus text exposition (format 0.0.4) of the global
@@ -71,6 +72,12 @@ class AdminRoutes {
   /// `handle` untouched, for any other path.
   bool Handle(const HttpRequest& request,
               const HttpServer::ResponseHandle& handle) const;
+
+  /// Starts `server` with these routes as its only paths (anything else is
+  /// 404). These routes must outlive the server; stop it with StopServer.
+  /// False, reason in `error`, when the bind fails (e.g. port in use).
+  bool Serve(HttpServer* server, const HttpServer::Options& options,
+             std::string* error = nullptr) const;
 
   /// Stops a server that mounts these routes. An in-flight /profilez
   /// capture answers through the server's event loop, so it is cancelled

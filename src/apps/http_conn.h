@@ -280,7 +280,8 @@ class HttpClient {
 };
 
 /// Minimal one-shot GET helper (connect, request, read, close). Used by the
-/// telemetry endpoints' tests and the chaos healthz scenario.
+/// admin-route and server tests, the chaos drills' health probes and
+/// load_gen's inventory discovery.
 bool HttpGetOnce(int port, const std::string& path, int* status,
                  std::string* body);
 

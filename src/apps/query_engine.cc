@@ -180,6 +180,13 @@ std::string QueryEngine::FormatAnswerJson(
 
 std::unique_ptr<QueryEngine> QueryEngine::Create(const Options& options,
                                                  std::string* error) {
+  if (options.num_shards < 1 || options.num_shards > kMaxShards) {
+    if (error != nullptr) {
+      *error = "num_shards " + std::to_string(options.num_shards) +
+               " is outside 1.." + std::to_string(kMaxShards);
+    }
+    return nullptr;
+  }
   auto engine = std::unique_ptr<QueryEngine>(new QueryEngine());
   engine->options_ = options;
   engine->router_ = ShardRouter(options.num_shards);

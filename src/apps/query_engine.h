@@ -79,10 +79,14 @@ class QueryEngine {
     int unchanged = 0;
   };
 
+  /// Largest `Options::num_shards`: every shard is a worker thread.
+  static constexpr int kMaxShards = 256;
+
   /// Boots one BundleManager from `options.bundle_dir` (the bundle is
   /// staged once, whatever the shard count), builds the shard ring, binds
-  /// the port and starts serving. nullptr (reason in `error`) when the
-  /// bundle fails to load or the socket setup fails.
+  /// the port and starts serving. nullptr (reason in `error`) when
+  /// `num_shards` is outside 1..kMaxShards (checked before any thread
+  /// starts), the bundle fails to load or the socket setup fails.
   static std::unique_ptr<QueryEngine> Create(const Options& options,
                                              std::string* error = nullptr);
 

@@ -222,6 +222,32 @@ std::string FormatIngestLine(const IngestRecord& record) {
   return "";
 }
 
+std::vector<IngestRecord> TripRecords(const std::string& client,
+                                      const sim::DeliveryTrip& trip,
+                                      uint64_t* seq) {
+  std::vector<IngestRecord> records(trip.trajectory.points.size() + 2);
+  for (IngestRecord& record : records) {
+    record.client_id = client;
+    record.seq = ++*seq;
+  }
+  IngestRecord& start = records.front();
+  start.kind = IngestRecord::Kind::kStartTrip;
+  start.courier_id = trip.courier_id;
+  start.start_time = trip.start_time;
+  start.end_time = trip.end_time;
+  start.waybills = trip.waybills;
+  for (size_t i = 0; i < trip.trajectory.points.size(); ++i) {
+    const TrajPoint& p = trip.trajectory.points[i];
+    IngestRecord& point = records[i + 1];
+    point.kind = IngestRecord::Kind::kPoint;
+    point.x = p.x;
+    point.y = p.y;
+    point.t = p.t;
+  }
+  records.back().kind = IngestRecord::Kind::kFinishTrip;
+  return records;
+}
+
 IngestServer::IngestServer(Options options)
     : options_(std::move(options)), admin_([this] {
         apps::HealthStatus health;
@@ -317,6 +343,11 @@ IngestServer::Stats IngestServer::stats() const {
   s.batches = batches_.load(std::memory_order_relaxed);
   s.trips = trips_.load(std::memory_order_relaxed);
   return s;
+}
+
+IngestServer::State IngestServer::CopyState() const {
+  std::lock_guard<std::mutex> lock(state_mu_);
+  return State{ingestor_->world(), ingestor_->Snapshot()};
 }
 
 bool IngestServer::WaitIdle(double timeout_s) {
@@ -592,7 +623,10 @@ void IngestServer::ProcessBatch(Batch* batch) {
       reject(503, metrics.rejected_wal, "wal append failed: " + wal_error);
       return;
     }
-    for (const IngestRecord* record : fresh) ApplyRecord(*record);
+    {
+      std::lock_guard<std::mutex> lock(state_mu_);
+      for (const IngestRecord* record : fresh) ApplyRecord(*record);
+    }
     tracked_clients_.store(static_cast<int64_t>(clients_.size()),
                            std::memory_order_relaxed);
     MaybeSnapshot();

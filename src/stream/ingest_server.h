@@ -90,6 +90,8 @@
 /// thread owns the WAL, the StreamIngestor and the dedup table, applies
 /// batches in arrival order (= WAL order, = recovery replay order — the
 /// bit-identical anchor), and completes responses through ResponseHandle.
+/// It applies each batch under one lock that CopyState also takes, so a
+/// retrain round can copy the ingested state while ingest keeps acking.
 ///
 /// Counters: `stream.ingest.{received,acked,deduped,shed,recovered,
 /// batches,trips_completed,clients_evicted}`, `stream.ingest.rejected#
@@ -131,6 +133,14 @@ bool ParseIngestLine(const std::string& line, IngestRecord* record,
 /// Canonical wire form of a record. Doubles are printed with %.17g so
 /// Format → Parse round-trips bit-exactly (the WAL stores these lines).
 std::string FormatIngestLine(const IngestRecord& record);
+
+/// One recorded trip as `client`'s records: start_trip (courier, window,
+/// waybills), one point per trajectory fix, finish_trip, numbered from
+/// `*seq + 1` (advanced past the last). The planned stays are ground truth
+/// and never go on the wire.
+std::vector<IngestRecord> TripRecords(const std::string& client,
+                                      const sim::DeliveryTrip& trip,
+                                      uint64_t* seq);
 
 class IngestServer {
  public:
@@ -192,6 +202,17 @@ class IngestServer {
   /// sync point). False on timeout.
   bool WaitIdle(double timeout_s);
 
+  /// The ingested world and its batch-compatible candidate snapshot.
+  struct State {
+    sim::World world;
+    dlinfma::CandidateGeneration generation;
+  };
+
+  /// Copies the ingested state between two batches: safe from any thread
+  /// after Start, while ingest keeps running (the writer waits for the copy
+  /// only between batches). This is what a retrain round trains on.
+  State CopyState() const;
+
   /// The ingested state. Only valid while no writer thread runs (before
   /// Start or after Stop/CrashForTest) — the writer owns it otherwise.
   const StreamIngestor& ingestor() const { return *ingestor_; }
@@ -234,6 +255,8 @@ class IngestServer {
   apps::AdminRoutes admin_;
   apps::HttpServer http_;
   std::unique_ptr<StreamIngestor> ingestor_;
+  /// Held by the writer while it applies a batch and by CopyState.
+  mutable std::mutex state_mu_;
   std::optional<WalWriter> wal_;
   std::unordered_map<std::string, ClientState> clients_;
   uint64_t activity_clock_ = 0;  ///< Writer-thread LRU tick for eviction.

@@ -1,12 +1,17 @@
 // The admin contract (src/apps/admin_routes.h, DESIGN.md §10), checked
 // with one table against every server that mounts the shared routes: the
-// sharded QueryEngine, the WAL-backed IngestServer and the standalone
-// TelemetryServer. Each must answer /healthz with the unified JSON body,
-// /varz with the registry's JSON snapshot, /tracez with a Chrome trace,
-// refuse a second concurrent /profilez with 409, and 404 unknown paths.
+// sharded QueryEngine, the WAL-backed IngestServer and the bare routes on
+// their own HttpServer (AdminRoutes::Serve). Each must answer /healthz with
+// the unified JSON body, /varz with the registry's JSON snapshot, /tracez
+// with a Chrome trace, refuse a second concurrent /profilez with 409, and
+// 404 unknown paths. The bare server's own cases follow: ephemeral-port
+// startup, the endpoint contracts, degraded-health flipping, stop/restart,
+// and concurrent scrapes racing live metric updates (the case the TSan CI
+// job cares about).
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <memory>
@@ -14,14 +19,18 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
+#include "apps/admin_routes.h"
 #include "apps/query_engine.h"
-#include "apps/telemetry_server.h"
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "dlinfma/dlinfma_method.h"
 #include "gtest/gtest.h"
 #include "io/bundle.h"
+#include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/trace_log.h"
 #include "sim/generator.h"
 #include "stream/ingest_server.h"
 
@@ -82,11 +91,27 @@ Surface StartIngestServer() {
   return {server->port(), server};
 }
 
-Surface StartTelemetryServer() {
-  auto server = std::make_shared<TelemetryServer>();
+/// The admin routes alone on their own HttpServer, stopped on destruction.
+struct AdminServer {
+  explicit AdminServer(HealthProvider health = nullptr)
+      : admin(std::move(health)) {}
+  ~AdminServer() { AdminRoutes::StopServer(&http); }
+
+  bool Start(int port = 0, std::string* error = nullptr) {
+    HttpServer::Options options;
+    options.port = port;
+    return admin.Serve(&http, options, error);
+  }
+
+  AdminRoutes admin;
+  HttpServer http;
+};
+
+Surface StartAdminServer() {
+  auto server = std::make_shared<AdminServer>();
   std::string error;
-  CHECK(server->Start({}, &error)) << error;
-  return {server->port(), server};
+  CHECK(server->Start(0, &error)) << error;
+  return {server->http.port(), server};
 }
 
 struct Server {
@@ -149,10 +174,176 @@ INSTANTIATE_TEST_SUITE_P(
     EveryServer, AdminContractTest,
     ::testing::Values(Server{"QueryEngine", &StartQueryEngine},
                       Server{"IngestServer", &StartIngestServer},
-                      Server{"TelemetryServer", &StartTelemetryServer}),
+                      Server{"TelemetryServer", &StartAdminServer}),
     [](const ::testing::TestParamInfo<Server>& info) {
       return std::string(info.param.name);
     });
+
+// --- The bare admin server -------------------------------------------------
+// These cases keep the suite name of the standalone server class they were
+// written for, so their test IDs stay stable.
+
+TEST(TelemetryServerTest, StartsOnEphemeralPortAndServesMetrics) {
+  obs::MetricsRegistry::Global()
+      .GetCounter("telemetry_test.requests")
+      ->Add(3);
+  obs::MetricsRegistry::Global()
+      .GetHistogram("telemetry_test.latency")
+      ->Observe(0.01);
+
+  AdminServer server;
+  std::string error;
+  ASSERT_TRUE(server.Start(0, &error)) << error;
+  ASSERT_GT(server.http.port(), 0);
+  EXPECT_TRUE(server.http.running());
+
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGetOnce(server.http.port(), "/metrics", &status, &body));
+  EXPECT_EQ(status, 200);
+  EXPECT_NE(body.find("# TYPE telemetry_test_requests counter"),
+            std::string::npos);
+  EXPECT_NE(body.find("# TYPE telemetry_test_latency histogram"),
+            std::string::npos);
+  EXPECT_NE(body.find("telemetry_test_latency_bucket{le=\"+Inf\"}"),
+            std::string::npos);
+  EXPECT_NE(body.find("telemetry_test_latency_count"), std::string::npos);
+  AdminRoutes::StopServer(&server.http);
+  EXPECT_FALSE(server.http.running());
+}
+
+TEST(TelemetryServerTest, HealthzRendersProviderVerdict) {
+  std::atomic<bool> healthy{true};
+  AdminServer server([&healthy] {
+    HealthStatus health;
+    health.ok = healthy.load();
+    health.generation = 7;
+    if (!health.ok) health.detail = "rolled back";
+    return health;
+  });
+  ASSERT_TRUE(server.Start());
+
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGetOnce(server.http.port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 200);
+  EXPECT_NE(body.find("\"status\":\"ok\""), std::string::npos);
+  EXPECT_NE(body.find("\"generation\":7"), std::string::npos);
+
+  healthy.store(false);
+  ASSERT_TRUE(HttpGetOnce(server.http.port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 503);
+  EXPECT_NE(body.find("\"status\":\"degraded\""), std::string::npos);
+  EXPECT_NE(body.find("rolled back"), std::string::npos);
+
+  healthy.store(true);
+  ASSERT_TRUE(HttpGetOnce(server.http.port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 200);
+  AdminRoutes::StopServer(&server.http);
+}
+
+TEST(TelemetryServerTest, VarzAndTracezAreServed) {
+  obs::TraceLog::Global().Start(1.0);
+  obs::TraceInstant("telemetry_test.mark");
+  AdminServer server;
+  ASSERT_TRUE(server.Start());
+
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGetOnce(server.http.port(), "/varz", &status, &body));
+  EXPECT_EQ(status, 200);
+  EXPECT_NE(body.find("\"counters\""), std::string::npos);
+
+  ASSERT_TRUE(HttpGetOnce(server.http.port(), "/tracez", &status, &body));
+  EXPECT_EQ(status, 200);
+  EXPECT_NE(body.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(body.find("telemetry_test.mark"), std::string::npos);
+  AdminRoutes::StopServer(&server.http);
+  obs::TraceLog::Global().Stop();
+}
+
+TEST(TelemetryServerTest, UnknownPathIs404) {
+  AdminServer server;
+  ASSERT_TRUE(server.Start());
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGetOnce(server.http.port(), "/nope", &status, &body));
+  EXPECT_EQ(status, 404);
+  AdminRoutes::StopServer(&server.http);
+}
+
+TEST(TelemetryServerTest, StopIsIdempotentAndAllowsRestart) {
+  AdminServer server;
+  ASSERT_TRUE(server.Start());
+  const int first_port = server.http.port();
+  AdminRoutes::StopServer(&server.http);
+  AdminRoutes::StopServer(&server.http);  // Idempotent.
+  EXPECT_FALSE(server.http.running());
+  int status = 0;
+  std::string body;
+  EXPECT_FALSE(HttpGetOnce(first_port, "/healthz", &status, &body));
+
+  ASSERT_TRUE(server.Start());
+  ASSERT_TRUE(HttpGetOnce(server.http.port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 200);
+  AdminRoutes::StopServer(&server.http);
+}
+
+TEST(TelemetryServerTest, PortInUseFailsWithError) {
+  AdminServer first;
+  ASSERT_TRUE(first.Start());
+  AdminServer second;
+  std::string error;
+  EXPECT_FALSE(second.Start(first.http.port(), &error));
+  EXPECT_FALSE(error.empty());
+}
+
+TEST(TelemetryServerTest, ConcurrentScrapesRaceLiveUpdates) {
+  // Several scraper threads hammer every endpoint while a writer thread
+  // mutates the registry and trace ring — the serve-under-load shape the
+  // sanitizer CI jobs run. Every request must complete with a 200.
+  obs::TraceLog::Global().Start(1.0);
+  AdminServer server;
+  ASSERT_TRUE(server.Start());
+  const int port = server.http.port();
+
+  constexpr int kScrapers = 4;
+  constexpr int kRequestsPerScraper = 25;
+  std::atomic<int> failures{0};
+  std::atomic<bool> stop_writer{false};
+  std::thread writer([&stop_writer] {
+    obs::Histogram* histogram =
+        obs::MetricsRegistry::Global().GetHistogram("telemetry_test.race");
+    int i = 0;
+    while (!stop_writer.load()) {
+      histogram->Observe(1e-4 * (i % 100));
+      obs::TraceInstant("race.mark");
+      ++i;
+    }
+  });
+  {
+    ThreadPool pool(kScrapers);
+    const char* paths[] = {"/metrics", "/healthz", "/varz", "/tracez"};
+    for (int t = 0; t < kScrapers; ++t) {
+      pool.Submit([port, t, &paths, &failures] {
+        for (int i = 0; i < kRequestsPerScraper; ++i) {
+          int status = 0;
+          std::string body;
+          if (!HttpGetOnce(port, paths[(t + i) % 4], &status, &body) ||
+              status != 200 || body.empty()) {
+            failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    pool.Wait();
+  }
+  stop_writer.store(true);
+  writer.join();
+  AdminRoutes::StopServer(&server.http);
+  obs::TraceLog::Global().Stop();
+  EXPECT_EQ(failures.load(), 0);
+}
 
 }  // namespace
 }  // namespace apps

@@ -3,18 +3,25 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/http_conn.h"
 #include "fault/fault.h"
+#include "io/bundle.h"
+#include "io/codecs.h"
+#include "io/file.h"
 #include "io/wal_frame.h"
 #include "sim/config.h"
 #include "sim/generator.h"
+#include "stream/online_trainer.h"
 #include "stream/stream_pipeline.h"
 
 namespace dlinf {
@@ -62,30 +69,9 @@ std::vector<std::string> TripLines(const std::string& client,
                                    const sim::DeliveryTrip& trip,
                                    uint64_t* seq) {
   std::vector<std::string> lines;
-  IngestRecord start;
-  start.kind = IngestRecord::Kind::kStartTrip;
-  start.client_id = client;
-  start.seq = ++*seq;
-  start.courier_id = trip.courier_id;
-  start.start_time = trip.start_time;
-  start.end_time = trip.end_time;
-  start.waybills = trip.waybills;
-  lines.push_back(FormatIngestLine(start));
-  for (const TrajPoint& p : trip.trajectory.points) {
-    IngestRecord point;
-    point.kind = IngestRecord::Kind::kPoint;
-    point.client_id = client;
-    point.seq = ++*seq;
-    point.x = p.x;
-    point.y = p.y;
-    point.t = p.t;
-    lines.push_back(FormatIngestLine(point));
+  for (const IngestRecord& record : stream::TripRecords(client, trip, seq)) {
+    lines.push_back(FormatIngestLine(record));
   }
-  IngestRecord finish;
-  finish.kind = IngestRecord::Kind::kFinishTrip;
-  finish.client_id = client;
-  finish.seq = ++*seq;
-  lines.push_back(FormatIngestLine(finish));
   return lines;
 }
 
@@ -255,6 +241,146 @@ TEST(IngestServerTest, StreamedTripsMatchDirectIngestorBitIdentical) {
   EXPECT_EQ(stats.rejected, 0);
   EXPECT_EQ(stats.trips, static_cast<int64_t>(finish_order.size()));
   EXPECT_EQ(stats.received, stats.acked);
+}
+
+/// The bytes of `world` as a world artifact written under `dir`.
+std::string WorldBytes(const sim::World& world, const std::string& dir) {
+  const std::string path = dir + "/world_bytes.art";
+  EXPECT_TRUE(io::SaveWorldArtifact(world, path));
+  std::string bytes;
+  EXPECT_TRUE(io::ReadFile(path, &bytes));
+  return bytes;
+}
+
+/// Every delivered address's inferred location from the bundle in `dir`.
+std::vector<Point> InferBundle(const std::string& dir) {
+  std::string error;
+  std::optional<io::WarmBundle> bundle = io::LoadBundle(dir, &error);
+  EXPECT_TRUE(bundle.has_value()) << error;
+  if (!bundle) return {};
+  return bundle->method->InferAll(bundle->data,
+                                  io::AllSamples(bundle->samples));
+}
+
+/// One retrain round on each side of the equivalence: the state streamed
+/// into `server` over HTTP, and the in-process `replay` of the same trips.
+/// Both must publish byte-equal model, candidate and sample artifacts whose
+/// answers agree, over worlds that are equal once the planned stays are
+/// cleared (ground truth that never goes on the wire).
+void ExpectSameRound(IngestServer* server, stream::OnlineTrainer* streamed,
+                     const StreamIngestor& replay,
+                     stream::OnlineTrainer* replayed,
+                     const std::string& scratch) {
+  ASSERT_TRUE(server->WaitIdle(20.0));
+  IngestServer::State state = server->CopyState();
+  const sim::World& world = state.world;
+  const stream::OnlineTrainer::RoundResult a =
+      streamed->Retrain(world, std::move(state.generation));
+  const stream::OnlineTrainer::RoundResult b =
+      replayed->Retrain(replay.world(), replay.Snapshot());
+  ASSERT_TRUE(a.trained && a.published) << a.skip_reason << a.publish_error;
+  ASSERT_TRUE(b.trained && b.published) << b.skip_reason << b.publish_error;
+  EXPECT_EQ(a.train_samples, b.train_samples);
+  EXPECT_EQ(a.val_samples, b.val_samples);
+
+  sim::World expected = replay.world();
+  for (sim::DeliveryTrip& trip : expected.trips) trip.planned_stays.clear();
+  EXPECT_EQ(WorldBytes(world, scratch), WorldBytes(expected, scratch));
+
+  const std::string streamed_dir = scratch + "/streamed";
+  const std::string replayed_dir = scratch + "/replayed";
+  for (const char* name : {"model.art", "candidates.art", "samples.art"}) {
+    std::string streamed_bytes;
+    std::string replayed_bytes;
+    ASSERT_TRUE(io::ReadFile(streamed_dir + "/" + name, &streamed_bytes));
+    ASSERT_TRUE(io::ReadFile(replayed_dir + "/" + name, &replayed_bytes));
+    EXPECT_TRUE(streamed_bytes == replayed_bytes) << name;
+  }
+  const std::vector<Point> streamed_answers = InferBundle(streamed_dir);
+  const std::vector<Point> replayed_answers = InferBundle(replayed_dir);
+  ASSERT_EQ(streamed_answers.size(), replayed_answers.size());
+  ASSERT_FALSE(streamed_answers.empty());
+  EXPECT_EQ(std::memcmp(streamed_answers.data(), replayed_answers.data(),
+                        streamed_answers.size() * sizeof(Point)),
+            0);
+}
+
+TEST(IngestServerTest, StreamedRoundsMatchInProcessReplay) {
+  const std::vector<sim::DeliveryTrip>& trips = FullWorld().trips;
+  const size_t round_at = trips.size() / 2;
+  const std::string scratch = ScratchDir("rounds");
+  stream::OnlineTrainer::Options options;
+  options.train.max_epochs = 3;
+  options.train.early_stop_patience = 3;
+  options.publish_dir = scratch + "/streamed";
+  stream::OnlineTrainer streamed(options);
+  options.publish_dir = scratch + "/replayed";
+  stream::OnlineTrainer replayed(options);
+
+  IngestServer server(BaseOptions(ScratchDir("rounds_wal")));
+  ASSERT_TRUE(server.Start());
+  HttpClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  StreamIngestor replay(City(), {});
+  uint64_t seq = 0;
+  for (size_t i = 0; i < trips.size(); ++i) {
+    ASSERT_EQ(PostIngest(&client, JoinLines(TripLines("a", trips[i], &seq))),
+              200);
+    replay.ReplayTrip(trips[i]);
+    if (i + 1 == round_at) {
+      ExpectSameRound(&server, &streamed, replay, &replayed, scratch);
+      ASSERT_FALSE(HasFatalFailure());
+    }
+  }
+  ExpectSameRound(&server, &streamed, replay, &replayed, scratch);
+  EXPECT_EQ(streamed.rounds_completed(), 2);
+  server.Stop();
+}
+
+// Retrain rounds copy the state while producers keep posting: every copy
+// must land between two batches, never inside one.
+TEST(IngestServerTest, CopyStateDuringConcurrentPostsIsConsistent) {
+  IngestServer server(BaseOptions(ScratchDir("copy_state")));
+  ASSERT_TRUE(server.Start());
+  const std::vector<sim::DeliveryTrip>& trips = FullWorld().trips;
+  constexpr int kClients = 3;
+  constexpr int kPasses = 10;  ///< Each client streams every trip this often.
+  std::vector<std::thread> producers;
+  std::atomic<int> failures{0};
+  std::atomic<int> finished{0};
+  for (int c = 0; c < kClients; ++c) {
+    producers.emplace_back([&, c] {
+      HttpClient client;
+      if (!client.Connect(server.port())) failures.fetch_add(1);
+      uint64_t seq = 0;
+      const std::string id = "c" + std::to_string(c);
+      for (size_t i = 0; client.connected() && i < kPasses * trips.size();
+           ++i) {
+        const sim::DeliveryTrip& trip = trips[i % trips.size()];
+        if (PostIngest(&client, JoinLines(TripLines(id, trip, &seq))) != 200) {
+          failures.fetch_add(1);
+        }
+      }
+      finished.fetch_add(1);
+    });
+  }
+  int inconsistent = 0;
+  do {
+    const int64_t trips_before = server.stats().trips;
+    const IngestServer::State state = server.CopyState();
+    const int64_t trips_after = server.stats().trips;
+    const int64_t copied = static_cast<int64_t>(state.world.trips.size());
+    if (copied != state.generation.num_trips() || copied < trips_before ||
+        copied > trips_after) {
+      ++inconsistent;
+    }
+  } while (finished.load() < kClients);
+  for (std::thread& producer : producers) producer.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(inconsistent, 0);
+  EXPECT_EQ(server.stats().trips,
+            static_cast<int64_t>(kClients * kPasses * trips.size()));
+  server.Stop();
 }
 
 TEST(IngestServerTest, RetriedPostIsAnExactNoOp) {

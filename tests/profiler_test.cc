@@ -15,7 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "apps/telemetry_server.h"
+#include "apps/admin_routes.h"
+#include "apps/http_conn.h"
 #include "nn/kernels.h"
 #include "obs/trace_log.h"
 
@@ -162,9 +163,9 @@ TEST(ProfilerTest, CombinedChromeExportMergesSpansAndSamples) {
 }
 
 TEST(ProfilerTest, ConcurrentMetricsAndProfilezScrapesRaceCleanly) {
-  apps::TelemetryServer server;
-  apps::TelemetryServer::Options options;
-  ASSERT_TRUE(server.Start(options));
+  const apps::AdminRoutes admin;
+  apps::HttpServer server;
+  ASSERT_TRUE(admin.Serve(&server, {}));
 
   // Background CPU load so the capture has something to sample.
   std::atomic<bool> stop_spin{false};
@@ -218,7 +219,7 @@ TEST(ProfilerTest, ConcurrentMetricsAndProfilezScrapesRaceCleanly) {
 
   stop_spin.store(true);
   spinner.join();
-  server.Stop();
+  apps::AdminRoutes::StopServer(&server);
   EXPECT_FALSE(obs::prof::ProfilingArmed());
 }
 

@@ -19,6 +19,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -516,6 +518,26 @@ TEST(QueryEngineTest, OnePushStagesOnceForEveryShard) {
                         ",\"generation\":1,"),
               std::string::npos)
         << body;
+  }
+}
+
+TEST(QueryEngineTest, CreateRejectsShardCountOutOfRange) {
+  auto threads = [] {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return std::distance(begin(tasks), end(tasks));
+  };
+  for (const int num_shards : {0, QueryEngine::kMaxShards + 1}) {
+    QueryEngine::Options options;
+    options.bundle_dir = Fixture().dir;
+    options.num_shards = num_shards;
+    const auto threads_before = threads();
+    std::string error;
+    EXPECT_EQ(QueryEngine::Create(options, &error), nullptr) << num_shards;
+    EXPECT_NE(error.find("num_shards " + std::to_string(num_shards)),
+              std::string::npos)
+        << error;
+    // Refused before the loop or any shard worker started.
+    EXPECT_EQ(threads(), threads_before) << num_shards;
   }
 }
 

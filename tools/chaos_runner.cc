@@ -29,10 +29,10 @@
 #include <thread>
 #include <vector>
 
+#include "apps/admin_routes.h"
 #include "apps/bundle_manager.h"
 #include "apps/location_service.h"
 #include "apps/query_engine.h"
-#include "apps/telemetry_server.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -787,12 +787,11 @@ void RunHealthzDuringRollback(Checker& check) {
   check.Expect(manager != nullptr, "bundle manager boot failed: " + error);
   if (manager == nullptr) return;
 
-  apps::TelemetryServer telemetry;
-  apps::TelemetryServer::Options options;
-  options.port = 0;  // Ephemeral: parallel CI runs must not collide.
-  options.health = apps::BundleManagerHealth(manager.get());
-  check.Expect(telemetry.Start(options, &error),
-               "telemetry server start failed: " + error);
+  // Ephemeral port: parallel CI runs must not collide.
+  const apps::AdminRoutes admin(apps::BundleManagerHealth(manager.get()));
+  apps::HttpServer telemetry;
+  check.Expect(admin.Serve(&telemetry, {}, &error),
+               "admin server start failed: " + error);
   if (!telemetry.running()) return;
   const int port = telemetry.port();
 
@@ -890,7 +889,7 @@ void RunHealthzDuringRollback(Checker& check) {
 
   stop.store(true, std::memory_order_release);
   prober.join();
-  telemetry.Stop();
+  apps::AdminRoutes::StopServer(&telemetry);
   check.Expect(probes.load() > 0, "concurrent prober never completed a probe");
   check.ExpectEq(bad_probes.load(), 0,
                  "probes with transport errors or unexpected statuses");
@@ -1136,12 +1135,10 @@ void RunStreamIngestUnderFaults(Checker& check) {
   check.Expect(manager != nullptr, "bundle manager boot failed: " + error);
   if (manager == nullptr) return;
 
-  apps::TelemetryServer telemetry;
-  apps::TelemetryServer::Options telemetry_options;
-  telemetry_options.port = 0;
-  telemetry_options.health = apps::BundleManagerHealth(manager.get());
-  check.Expect(telemetry.Start(telemetry_options, &error),
-               "telemetry server start failed: " + error);
+  const apps::AdminRoutes admin(apps::BundleManagerHealth(manager.get()));
+  apps::HttpServer telemetry;
+  check.Expect(admin.Serve(&telemetry, {}, &error),
+               "admin server start failed: " + error);
   if (!telemetry.running()) return;
   const int port = telemetry.port();
   auto healthz_status = [&](const char* when) {
@@ -1257,7 +1254,7 @@ void RunStreamIngestUnderFaults(Checker& check) {
 
   stop.store(true, std::memory_order_release);
   load.join();
-  telemetry.Stop();
+  apps::AdminRoutes::StopServer(&telemetry);
   check.Expect(answered.load() > 0, "query load never answered anything");
   check.ExpectEq(bad_answers.load(), 0,
                  "dropped or non-finite answers under publication churn");

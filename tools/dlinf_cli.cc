@@ -40,53 +40,40 @@
 //       warm-started from artifacts; the legacy --world/--model path
 //       re-mines candidates and only loads the checkpoint.
 //
-//   dlinf_cli stream --world DIR --publish-dir DIR [--retrain-every N]
-//              [--max-trips M] [--rate R] [--quick] [--epochs E]
-//              [--watch [--agree-frac F]] [--ckpt FILE [--ckpt-every K]]
-//              [--telemetry-port P [--linger-seconds S]]
-//       The streaming ingestion + online learning loop (DESIGN.md §13):
-//       replay the world's recorded trips as a live GPS feed, one point at
-//       a time, through the incremental stay-point detector and candidate
-//       index (src/stream). Every N completed trips (and once at end of
-//       stream; default N=0 means end-of-stream only) an online retrain
-//       round runs over the accumulated snapshot — warm-started from the
-//       previous round's weights — and publishes a fresh artifact bundle
-//       into --publish-dir with the manifest-last protocol the hot-reload
-//       watcher keys on. --rate R throttles the replay to R points/second
-//       (0 = full speed). --quick caps rounds at 20 epochs (--epochs
-//       overrides exactly). --watch additionally boots a BundleManager on
-//       the publish directory after the first publication and hot-reloads
-//       it after each subsequent one, printing swap/rollback outcomes
-//       (--agree-frac relaxes the shadow-validation agreement threshold;
-//       online rounds legitimately drift from the boot generation).
-//       --ckpt writes a crash-safe CKPT artifact every K epochs during
-//       each round, so a round killed mid-training resumes without losing
-//       accumulated samples (`dlinf_cli train --resume` semantics).
-//       --telemetry-port starts the /metrics endpoint up front, so
-//       scrapers watch stream.ingest.* counters live, and keeps it up S
-//       extra seconds after the feed drains.
-//
 //   dlinf_cli stream --listen PORT --wal-dir DIR [--city DIR]
 //              [--serve-seconds S] [--fsync-every N] [--fsync-interval S]
 //              [--segment-bytes B] [--snapshot-every K] [--max-queue Q]
-//       Durable network ingestion (DESIGN.md §14): instead of replaying a
-//       recorded world, serve POST /ingest on PORT (0 = ephemeral) and
-//       stream whatever producers send through the same incremental
-//       pipeline. Every accepted record is WAL-committed under --wal-dir
-//       before it is acked; on startup the WAL (plus the newest state
-//       snapshot, written every K segment rotations) is replayed, so a
-//       kill -9'd listener resumes with zero acked-record loss — drive it
-//       with `load_gen --ingest`. --city seeds the static world (station,
-//       buildings, addresses) from a world dir; the default is the
-//       built-in synthetic city. Mutually exclusive with --world. Serves
-//       until S elapses (0 = until SIGINT/SIGTERM), then drains and
-//       prints the final counters.
+//              [--publish-dir DIR [--retrain-every N] [--quick] [--epochs E]
+//               [--ckpt FILE [--ckpt-every K]]]
+//       Streaming ingestion and the online learning loop (DESIGN.md §13,
+//       §14): serve POST /ingest on PORT (0 = ephemeral) and stream what
+//       producers send, one GPS fix at a time, through the incremental
+//       stay-point detector and candidate index (src/stream). Every
+//       accepted record is WAL-committed under --wal-dir before it is
+//       acked; on startup the WAL (plus the newest state snapshot, written
+//       every K segment rotations) is replayed, so a kill -9'd listener
+//       resumes with zero acked-record loss. Drive it with `load_gen
+//       --ingest` (`--world DIR` replays a recorded world's trips). --city
+//       seeds the static world (station, buildings, addresses) from a world
+//       dir; the default is the built-in synthetic city. With
+//       --publish-dir, an online retrain round runs each time another N
+//       trips have been ingested (default N=0: only at the end) over a copy
+//       of the ingested state, warm-started from the previous round's
+//       weights while ingest keeps acking, and publishes a fresh artifact
+//       bundle into --publish-dir with the manifest-last protocol `serve`
+//       hot-reloads. One more round runs after the stream stops, unless
+//       the last one saw every trip. --quick caps rounds at 20 epochs
+//       (--epochs overrides exactly); --ckpt writes a crash-safe CKPT
+//       artifact every K epochs during each round (`train --resume`
+//       semantics). Serves until S elapses (0 = until SIGINT/SIGTERM), then
+//       drains and prints the final counters.
 //
 //   dlinf_cli evaluate --world DIR [--quick]
 //       Compare DLInfMA against the heuristic baselines on the test split.
 //
 //   Numeric flag values are parsed strictly: a value with trailing
-//   characters (--shards 4x) is a one-line error and exit 2.
+//   characters (--shards 4x) or outside the flag's range (--shards 0,
+//   --max-queue -1) is a one-line error and exit 2.
 //
 //   Any command additionally accepts --metrics [FILE]: after the command
 //   finishes, dump the process metrics registry (pipeline stage timers,
@@ -114,14 +101,13 @@
 #include <exception>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
 #include <type_traits>
 
-#include "apps/bundle_manager.h"
 #include "apps/query_engine.h"
-#include "apps/telemetry_server.h"
 #include "baselines/evaluation.h"
 #include "baselines/simple_baselines.h"
 #include "common/csv.h"
@@ -196,6 +182,23 @@ T NumericFlag(const std::map<std::string, std::string>& flags,
 int IntFlag(const std::map<std::string, std::string>& flags,
             const std::string& key, int fallback) {
   return NumericFlag<int>(flags, key, fallback);
+}
+
+/// The integer flag --`key` (or `fallback`) checked against [lo, hi]: a
+/// value out of range is a FlagError, never clamped or wrapped.
+int64_t RangedFlag(const std::map<std::string, std::string>& flags,
+                   const std::string& key, int64_t fallback, int64_t lo,
+                   int64_t hi = std::numeric_limits<int64_t>::max()) {
+  const int64_t value = NumericFlag<int64_t>(flags, key, fallback);
+  if (value < lo || value > hi) {
+    throw FlagError("--" + key + " wants an integer " +
+                    (hi == std::numeric_limits<int64_t>::max()
+                         ? ">= " + std::to_string(lo)
+                         : "in " + std::to_string(lo) + ".." +
+                               std::to_string(hi)) +
+                    ", got " + std::to_string(value));
+  }
+  return value;
 }
 
 double DoubleFlag(const std::map<std::string, std::string>& flags,
@@ -513,17 +516,17 @@ double ServeUntilStopped(double seconds,
 /// directory for pushes every --poll-every seconds.
 int CmdServe(const std::map<std::string, std::string>& flags) {
   if (flags.count("bundle") == 0) return Usage();
-  const std::string& dir = flags.at("bundle");
-  if (!PathUsable("--bundle", dir, /*want_dir=*/true)) return 1;
-
   apps::QueryEngine::Options options;
-  options.bundle_dir = dir;
-  options.num_shards =
-      std::max(1, IntFlag(flags, "shards", options.num_shards));
+  options.bundle_dir = flags.at("bundle");
+  options.num_shards = static_cast<int>(RangedFlag(
+      flags, "shards", options.num_shards, 1, apps::QueryEngine::kMaxShards));
   options.port = IntFlag(flags, "port", options.port);
   const double serve_seconds = DoubleFlag(flags, "serve-seconds", 0.0);
   const double poll_every_s = DoubleFlag(flags, "poll-every", 5.0);
   const double trace_sample = DoubleFlag(flags, "trace-sample", 0.01);
+  if (!PathUsable("--bundle", options.bundle_dir, /*want_dir=*/true)) {
+    return 1;
+  }
   Stopwatch watch;
   std::string error;
   std::unique_ptr<apps::QueryEngine> engine =
@@ -577,20 +580,47 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-/// `stream --listen`: durable network ingestion (see the header comment).
-int CmdStreamListen(const std::map<std::string, std::string>& flags) {
-  stream::IngestServer::Options options;
-  options.port = IntFlag(flags, "listen", 0);
-  if (options.port < 0) {
-    std::fprintf(stderr, "error: --listen wants a port number, got %d\n",
-                 options.port);
-    return 2;
-  }
+/// `stream`: durable network ingestion feeding the online learning loop
+/// (see the header comment).
+int CmdStream(const std::map<std::string, std::string>& flags) {
+  if (flags.count("listen") == 0) return Usage();
   if (flags.count("wal-dir") == 0 || flags.at("wal-dir") == "true") {
     std::fprintf(stderr, "error: --listen requires --wal-dir DIR\n");
     return 2;
   }
+  stream::IngestServer::Options options;
+  options.port = static_cast<int>(RangedFlag(flags, "listen", 0, 0, 65535));
   options.wal.dir = flags.at("wal-dir");
+  options.wal.fsync_every_n = RangedFlag(flags, "fsync-every", 0, 0);
+  options.wal.fsync_interval_s = DoubleFlag(flags, "fsync-interval", 0.0);
+  options.wal.segment_bytes = RangedFlag(flags, "segment-bytes", 4 << 20, 0);
+  options.snapshot_every_segments = RangedFlag(flags, "snapshot-every", 0, 0);
+  options.max_queue_records = RangedFlag(flags, "max-queue", 4096, 0);
+
+  const auto publish_dir = flags.find("publish-dir");
+  const int64_t retrain_every = RangedFlag(flags, "retrain-every", 0, 0);
+  stream::OnlineTrainer::Options trainer_options;
+  if (flags.count("quick") > 0) {
+    trainer_options.train.max_epochs = 20;
+    trainer_options.train.early_stop_patience = 5;
+  }
+  trainer_options.train.max_epochs = static_cast<int>(RangedFlag(
+      flags, "epochs", trainer_options.train.max_epochs, 0, 1 << 20));
+  if (auto ckpt = flags.find("ckpt"); ckpt != flags.end()) {
+    trainer_options.checkpoint_path = ckpt->second;
+    trainer_options.checkpoint_every_epochs = static_cast<int>(
+        std::max<int64_t>(1, RangedFlag(flags, "ckpt-every", 5, 0, 1 << 20)));
+  }
+  if (publish_dir != flags.end()) {
+    trainer_options.publish_dir = publish_dir->second;
+  }
+  for (const char* key :
+       {"retrain-every", "quick", "epochs", "ckpt", "ckpt-every"}) {
+    if (flags.count(key) > 0 && publish_dir == flags.end()) {
+      std::fprintf(stderr, "error: --%s needs --publish-dir DIR\n", key);
+      return 2;
+    }
+  }
 
   if (auto city = flags.find("city"); city != flags.end()) {
     std::optional<sim::World> world = sim::LoadWorldCsv(city->second);
@@ -608,15 +638,6 @@ int CmdStreamListen(const std::map<std::string, std::string>& flags) {
     options.city.trips.clear();
   }
 
-  options.wal.fsync_every_n = IntFlag(flags, "fsync-every", 0);
-  options.wal.fsync_interval_s = DoubleFlag(flags, "fsync-interval", 0.0);
-  options.wal.segment_bytes =
-      static_cast<uint64_t>(IntFlag(flags, "segment-bytes", 4 << 20));
-  options.snapshot_every_segments =
-      static_cast<uint64_t>(IntFlag(flags, "snapshot-every", 0));
-  options.max_queue_records =
-      static_cast<uint64_t>(IntFlag(flags, "max-queue", 4096));
-
   stream::IngestServer server(std::move(options));
   std::string error;
   if (!server.Start(&error)) {
@@ -633,11 +654,54 @@ int CmdStreamListen(const std::map<std::string, std::string>& flags) {
       static_cast<long long>(boot.trips));
   std::fflush(stdout);
 
-  const double served_s =
-      ServeUntilStopped(DoubleFlag(flags, "serve-seconds", 0.0));
+  // One retrain round over a copy of the ingested state; the listener keeps
+  // acking while it trains.
+  stream::OnlineTrainer trainer(trainer_options);
+  int64_t last_round_trips = 0;
+  auto retrain = [&] {
+    stream::IngestServer::State state = server.CopyState();
+    last_round_trips = static_cast<int64_t>(state.world.trips.size());
+    const stream::OnlineTrainer::RoundResult result =
+        trainer.Retrain(state.world, std::move(state.generation));
+    if (!result.trained) {
+      std::printf("round %d skipped after %lld trips: %s\n", result.round,
+                  static_cast<long long>(last_round_trips),
+                  result.skip_reason.c_str());
+    } else {
+      std::printf(
+          "round %d: %lld trips, %zu/%zu train/val samples, %d epochs, "
+          "val loss %.4f\n",
+          result.round, static_cast<long long>(last_round_trips),
+          result.train_samples, result.val_samples, result.train.epochs_run,
+          result.train.best_val_loss);
+      if (result.published) {
+        std::printf("published bundle -> %s\n", publish_dir->second.c_str());
+      } else {
+        std::fprintf(stderr, "error: publish failed: %s\n",
+                     result.publish_error.c_str());
+      }
+    }
+    std::fflush(stdout);
+  };
+
+  const bool learning = publish_dir != flags.end();
+  int64_t next_round_at = retrain_every;
+  const double served_s = ServeUntilStopped(
+      DoubleFlag(flags, "serve-seconds", 0.0), [&](double) {
+        if (!learning || retrain_every == 0 ||
+            server.stats().trips < next_round_at) {
+          return;
+        }
+        retrain();
+        next_round_at = (last_round_trips / retrain_every + 1) * retrain_every;
+      });
   server.Stop();  // Drains the queue and fsyncs the WAL.
 
   const stream::IngestServer::Stats stats = server.stats();
+  // End-of-stream round, unless the last round already saw every trip.
+  if (learning && stats.trips > 0 && stats.trips != last_round_trips) {
+    retrain();
+  }
   std::printf(
       "ingest done in %.1f s: received=%lld acked=%lld deduped=%lld "
       "shed=%lld rejected=%lld recovered=%lld trips=%lld\n",
@@ -648,178 +712,19 @@ int CmdStreamListen(const std::map<std::string, std::string>& flags) {
       static_cast<long long>(stats.rejected),
       static_cast<long long>(stats.recovered),
       static_cast<long long>(stats.trips));
-  return 0;
-}
-
-/// `stream`: replay recorded trips as a live GPS feed through the
-/// incremental pipeline, retraining and publishing bundles as the stream
-/// progresses (see the header comment).
-int CmdStream(const std::map<std::string, std::string>& flags) {
-  if (flags.count("listen") > 0) {
-    if (flags.count("world") > 0 || flags.count("publish-dir") > 0) {
-      std::fprintf(stderr,
-                   "error: stream --listen (network ingestion) and --world/"
-                   "--publish-dir (recorded replay) are mutually exclusive\n");
-      return 2;
-    }
-    return CmdStreamListen(flags);
-  }
-  if (flags.count("world") == 0 || flags.count("publish-dir") == 0) {
-    return Usage();
-  }
-  const auto world = LoadWorldFlag(flags);
-  if (!world) return 1;
-  const std::string publish_dir = flags.at("publish-dir");
-
-  // Telemetry comes up before the first point, so scrapers watch the
-  // stream.ingest.* counters move while the feed is live.
-  apps::TelemetryServer telemetry;
-  if (auto it = flags.find("telemetry-port"); it != flags.end()) {
-    apps::TelemetryServer::Options options;
-    options.port = it->second == "true" ? 0 : IntFlag(flags, it->first, 0);
-    std::string error;
-    if (!telemetry.Start(options, &error)) {
-      std::fprintf(stderr, "error: cannot start telemetry server: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    std::printf("telemetry: http://127.0.0.1:%d (/metrics /healthz /varz "
-                "/tracez /profilez)\n",
-                telemetry.port());
-    std::fflush(stdout);
-  }
-
-  const int retrain_every = IntFlag(flags, "retrain-every", 0);
-  const int max_trips =
-      IntFlag(flags, "max-trips", static_cast<int>(world->trips.size()));
-  const double rate = DoubleFlag(flags, "rate", 0.0);
-
-  stream::StreamIngestor ingestor(*world, {});
-  stream::OnlineTrainer::Options trainer_options;
-  if (flags.count("quick") > 0) {
-    trainer_options.train.max_epochs = 20;
-    trainer_options.train.early_stop_patience = 5;
-  }
-  if (flags.count("epochs") > 0) {
-    trainer_options.train.max_epochs = IntFlag(flags, "epochs", 20);
-  }
-  if (auto ckpt = flags.find("ckpt"); ckpt != flags.end()) {
-    trainer_options.checkpoint_path = ckpt->second;
-    trainer_options.checkpoint_every_epochs =
-        std::max(1, IntFlag(flags, "ckpt-every", 5));
-  }
-  trainer_options.publish_dir = publish_dir;
-  stream::OnlineTrainer trainer(trainer_options);
-
-  const bool watch = flags.count("watch") > 0;
-  std::unique_ptr<apps::BundleManager> manager;
-
-  auto retrain = [&]() {
-    const stream::OnlineTrainer::RoundResult result =
-        trainer.Retrain(ingestor.world(), ingestor.Snapshot());
-    if (!result.trained) {
-      std::printf("round %d skipped after %lld trips: %s\n", result.round,
-                  static_cast<long long>(ingestor.num_trips()),
-                  result.skip_reason.c_str());
-      return;
-    }
-    std::printf(
-        "round %d: %lld trips, %zu/%zu train/val samples, %d epochs, "
-        "val loss %.4f\n",
-        result.round, static_cast<long long>(ingestor.num_trips()),
-        result.train_samples, result.val_samples, result.train.epochs_run,
-        result.train.best_val_loss);
-    if (!result.published) {
-      std::fprintf(stderr, "error: publish failed: %s\n",
-                   result.publish_error.c_str());
-      return;
-    }
-    std::printf("published bundle -> %s\n", publish_dir.c_str());
-    if (!watch) return;
-    std::string error;
-    if (manager == nullptr) {
-      apps::BundleManager::Config config;
-      config.dir = publish_dir;
-      config.min_agree_fraction = DoubleFlag(flags, "agree-frac", 0.0);
-      manager = apps::BundleManager::Create(config, &error);
-      if (manager == nullptr) {
-        std::fprintf(stderr, "error: cannot watch %s: %s\n",
-                     publish_dir.c_str(), error.c_str());
-      } else {
-        std::printf("watching %s (generation %llu live)\n",
-                    publish_dir.c_str(),
-                    static_cast<unsigned long long>(manager->generation()));
-      }
-      return;
-    }
-    switch (manager->ReloadNow(&error)) {
-      case apps::BundleManager::ReloadOutcome::kSwapped:
-        std::printf("hot-reload: swapped to generation %llu\n",
-                    static_cast<unsigned long long>(manager->generation()));
-        break;
-      case apps::BundleManager::ReloadOutcome::kRolledBack:
-        std::printf("hot-reload: rolled back (%s)\n", error.c_str());
-        break;
-      case apps::BundleManager::ReloadOutcome::kUnchanged:
-        std::printf("hot-reload: unchanged\n");
-        break;
-    }
-  };
-
-  Stopwatch watch_time;
-  int trips = 0;
-  for (const sim::DeliveryTrip& trip : world->trips) {
-    if (trips >= max_trips) break;
-    ingestor.StartTrip(trip);
-    for (const TrajPoint& point : trip.trajectory.points) {
-      ingestor.PushPoint(point);
-      if (rate > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(1.0 / rate));
-      }
-    }
-    ingestor.FinishTrip();
-    ++trips;
-    if (retrain_every > 0 && trips % retrain_every == 0) retrain();
-    std::fflush(stdout);
-  }
-  // End-of-stream round, unless the last periodic round already saw every
-  // trip.
-  if (trips > 0 && (retrain_every <= 0 || trips % retrain_every != 0)) {
-    retrain();
-  }
-
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  auto counter = [&registry](const char* name) {
+    return static_cast<long long>(registry.GetCounter(name)->value());
+  };
   std::printf(
-      "stream done in %.1f s: %lld points (%lld dropped), %lld trips, "
-      "%lld stay points, %zu clusters, %lld/%lld rounds trained/skipped, "
+      "stream done in %.1f s: %lld points (%lld dropped), %lld trips, %lld "
+      "stay points, %zu clusters, %lld/%lld rounds trained/skipped, "
       "%lld/%lld publishes ok/failed\n",
-      watch_time.ElapsedSeconds(),
-      static_cast<long long>(
-          registry.GetCounter("stream.ingest.points")->value()),
-      static_cast<long long>(
-          registry.GetCounter("stream.ingest.dropped_points")->value()),
-      static_cast<long long>(ingestor.num_trips()),
-      static_cast<long long>(
-          registry.GetCounter("stream.ingest.stay_points")->value()),
-      ingestor.updater().num_clusters(),
-      static_cast<long long>(
-          registry.GetCounter("stream.retrain.rounds")->value()),
-      static_cast<long long>(
-          registry.GetCounter("stream.retrain.skipped")->value()),
-      static_cast<long long>(
-          registry.GetCounter("stream.publish.success")->value()),
-      static_cast<long long>(
-          registry.GetCounter("stream.publish.failures")->value()));
-  if (telemetry.running()) {
-    const int linger = IntFlag(flags, "linger-seconds", 0);
-    if (linger > 0) {
-      std::printf("telemetry: lingering %d s for scrapers\n", linger);
-      std::fflush(stdout);
-      std::this_thread::sleep_for(std::chrono::seconds(linger));
-    }
-    telemetry.Stop();
-  }
+      served_s, counter("stream.ingest.points"), counter("stream.ingest.dropped_points"),
+      static_cast<long long>(stats.trips), counter("stream.ingest.stay_points"),
+      server.ingestor().updater().num_clusters(),
+      counter("stream.retrain.rounds"), counter("stream.retrain.skipped"),
+      counter("stream.publish.success"), counter("stream.publish.failures"));
   return 0;
 }
 

@@ -4,7 +4,7 @@
 //   load_gen --port P [--threads 4] [--seconds 2] [--pipeline 16]
 //            [--batch 0] [--max-requests 0]
 //   load_gen --port P --ingest [--threads 4] [--seconds 2] [--pipeline 16]
-//            [--dup-every 0] [--max-requests 0]
+//            [--dup-every 0] [--max-requests 0] [--world DIR]
 //
 // Query mode discovers the address keyspace from the engine's /inventory
 // endpoint, then drives it from `--threads` keep-alive connections, each
@@ -14,7 +14,11 @@
 //
 // Ingest mode makes each thread one producer client (`lg-<i>`) streaming
 // deterministic synthetic trips as transactional POST /ingest batches of
-// `--pipeline` records (trips span batches freely). `--dup-every M`
+// `--pipeline` records (trips span batches freely). `--world DIR` replays
+// that world's recorded trips instead, waybills included, so the listener
+// has labels to train on: thread i sends trips i, i+N, i+2N, ... of N
+// threads (world order at `--threads 1`) and stops after its last trip;
+// --seconds does not apply. `--dup-every M`
 // re-sends every Mth POST verbatim — an injected producer retry the server
 // must ack as an exact no-op ("deduped"). A 429 is honoured by sleeping its
 // Retry-After and re-sending the same batch (counted as shed); anything
@@ -36,12 +40,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/http_conn.h"
 #include "common/string_util.h"
+#include "sim/world_io.h"
 #include "stream/ingest_server.h"
 
 namespace {
@@ -59,6 +66,7 @@ struct Options {
   int64_t max_requests = 0;  ///< 0: until --seconds elapses.
   bool ingest = false;       ///< Drive POST /ingest instead of /query.
   int dup_every = 0;         ///< Ingest: re-send every Mth POST (0: never).
+  std::string world_dir;     ///< Ingest: replay this world's trips.
 };
 
 struct ThreadStats {
@@ -103,16 +111,19 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       options->ingest = true;
     } else if (arg == "--dup-every" && has_value) {
       ok = number(&options->dup_every);
+    } else if (arg == "--world" && has_value) {
+      options->world_dir = argv[++i];
     } else {
       std::fprintf(stderr, "unknown or valueless argument: %s\n", arg.c_str());
       return false;
     }
     if (!ok) return false;
   }
-  if (options->port <= 0 || options->threads < 1 || options->pipeline < 1) {
+  if (options->port <= 0 || options->threads < 1 || options->pipeline < 1 ||
+      (!options->world_dir.empty() && !options->ingest)) {
     std::fprintf(stderr,
-                 "usage: load_gen --port P [--ingest] [--threads N] "
-                 "[--seconds S] [--pipeline D] [--batch B] "
+                 "usage: load_gen --port P [--ingest [--world DIR]] "
+                 "[--threads N] [--seconds S] [--pipeline D] [--batch B] "
                  "[--dup-every M] [--max-requests M]\n");
     return false;
   }
@@ -216,17 +227,39 @@ int64_t JsonInt(const std::string& body, const std::string& key) {
   return std::atoll(body.c_str() + pos + needle.size());
 }
 
-/// One producer client streaming deterministic synthetic trips. Trip t of
-/// thread i always yields the same records, so a re-run (or a retry after a
-/// crash) replays the identical byte stream.
+/// One producer client's record stream. Synthetic trips never end, and trip
+/// t of thread i always yields the same records, so a re-run (or a retry
+/// after a crash) replays the identical byte stream. A replayed world ends
+/// after the thread's last trip.
 class IngestStream {
  public:
-  explicit IngestStream(int thread_index)
+  IngestStream(int thread_index, int threads, const dlinf::sim::World* world)
       : client_id_("lg-" + std::to_string(thread_index)),
-        courier_id_(1000 + thread_index) {}
+        courier_id_(1000 + thread_index),
+        world_(world),
+        next_trip_(static_cast<size_t>(thread_index)),
+        trip_stride_(static_cast<size_t>(threads)) {}
 
-  /// The next protocol line, advancing the trip state machine.
-  std::string NextLine() {
+  /// The next protocol line into *line; false once a replayed world ran out.
+  bool NextLine(std::string* line) {
+    if (world_ == nullptr) {
+      *line = NextSyntheticLine();
+      return true;
+    }
+    while (next_record_ == trip_records_.size()) {
+      if (next_trip_ >= world_->trips.size()) return false;
+      trip_records_ = dlinf::stream::TripRecords(
+          client_id_, world_->trips[next_trip_], &seq_);
+      next_record_ = 0;
+      next_trip_ += trip_stride_;
+    }
+    *line = dlinf::stream::FormatIngestLine(trip_records_[next_record_++]);
+    return true;
+  }
+
+ private:
+  /// The next synthetic line, advancing the trip state machine.
+  std::string NextSyntheticLine() {
     using dlinf::stream::FormatIngestLine;
     using dlinf::stream::IngestRecord;
     IngestRecord record;
@@ -254,7 +287,6 @@ class IngestStream {
     return FormatIngestLine(record);
   }
 
- private:
   int64_t points_per_trip() const { return 6 + trip_index_ % 5; }
 
   std::string client_id_;
@@ -262,10 +294,16 @@ class IngestStream {
   uint64_t seq_ = 0;
   int64_t trip_index_ = 0;
   int64_t point_index_ = 0;
+
+  const dlinf::sim::World* world_;  ///< Replayed world; nullptr: synthetic.
+  size_t next_trip_;
+  size_t trip_stride_;
+  std::vector<dlinf::stream::IngestRecord> trip_records_;
+  size_t next_record_ = 0;
 };
 
 void RunIngestClient(const Options& options, int thread_index,
-                     ThreadStats* stats) {
+                     const dlinf::sim::World* world, ThreadStats* stats) {
   HttpClient client;
   std::string error;
   if (!client.Connect(options.port, &error)) {
@@ -273,8 +311,10 @@ void RunIngestClient(const Options& options, int thread_index,
     stats->first_error = "connect: " + error;
     return;
   }
-  IngestStream ingest_stream(thread_index);
-  const double deadline = NowSeconds() + options.seconds;
+  IngestStream ingest_stream(thread_index, options.threads, world);
+  const double deadline = world != nullptr
+                              ? std::numeric_limits<double>::infinity()
+                              : NowSeconds() + options.seconds;
   const int64_t per_thread_cap =
       options.max_requests > 0
           ? (options.max_requests + options.threads - 1) / options.threads
@@ -284,10 +324,14 @@ void RunIngestClient(const Options& options, int thread_index,
   while (NowSeconds() < deadline &&
          (per_thread_cap == 0 || stats->requests < per_thread_cap)) {
     std::string body;
-    for (int i = 0; i < options.pipeline; ++i) {
-      body += ingest_stream.NextLine();
+    std::string line;
+    int64_t records = 0;
+    while (records < options.pipeline && ingest_stream.NextLine(&line)) {
+      body += line;
       body += '\n';
+      ++records;
     }
+    if (records == 0) break;
     ++posts;
     const bool duplicate =
         options.dup_every > 0 && posts % options.dup_every == 0;
@@ -327,7 +371,7 @@ void RunIngestClient(const Options& options, int thread_index,
           }
           return;
         }
-        stats->requests += options.pipeline;
+        stats->requests += records;
         stats->acked += std::max<int64_t>(0, JsonInt(response, "acked"));
         stats->deduped += std::max<int64_t>(0, JsonInt(response, "deduped"));
         stats->latency_s.push_back(NowSeconds() - start);
@@ -348,6 +392,15 @@ double Percentile(std::vector<double>* sorted_in_place, double q) {
 }  // namespace
 
 int RunIngestMode(const Options& options) {
+  std::optional<dlinf::sim::World> world;
+  if (!options.world_dir.empty()) {
+    world = dlinf::sim::LoadWorldCsv(options.world_dir);
+    if (!world) {
+      std::fprintf(stderr, "error: cannot load world from %s\n",
+                   options.world_dir.c_str());
+      return 2;
+    }
+  }
   std::printf("load_gen: ingest mode, %d threads, %d records/post%s\n",
               options.threads, options.pipeline,
               options.dup_every > 0
@@ -359,6 +412,7 @@ int RunIngestMode(const Options& options) {
   std::vector<std::thread> threads;
   for (int i = 0; i < options.threads; ++i) {
     threads.emplace_back(RunIngestClient, options, i,
+                         world ? &*world : nullptr,
                          &stats[static_cast<size_t>(i)]);
   }
   for (std::thread& thread : threads) thread.join();
